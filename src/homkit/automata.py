@@ -157,19 +157,25 @@ def enumerate_terms(schema: Schema, labels, depth: int) -> Iterator[TreeTerm]:
     for r in range(len(labels) + 1):
         for combo in itertools.combinations(labels, r):
             leaves.append(leaf(combo))
-    level = list(leaves)
-    yield from level
-    all_terms = list(level)
+    yield from leaves
+    all_terms = list(leaves)
+    # a kid tuple drawn wholly from before the previous level builds a term
+    # of an earlier level, so only tuples reaching into that level are new
+    start = 0
     for _ in range(depth):
-        new = []
+        fresh = []
         for rel, arity in schema.relations:
             if arity == 0:
                 continue
-            for kids in itertools.product(all_terms, repeat=arity):
+            for idx in itertools.product(range(len(all_terms)),
+                                         repeat=arity):
+                if max(idx) < start:
+                    continue
+                kids = tuple(all_terms[k] for k in idx)
                 for i in range(1, arity + 1):
-                    new.append(node(rel, i, kids))
-        fresh = [t for t in new if t not in all_terms]
+                    fresh.append(node(rel, i, kids))
         yield from fresh
+        start = len(all_terms)
         all_terms += fresh
         if not fresh:
             break

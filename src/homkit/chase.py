@@ -5,10 +5,31 @@ existentials.  ``chase_existential`` runs the restricted (standard) chase
 with labeled nulls: a rule fires on a body match only when no assignment of
 its existential variables into the current domain already satisfies the head.
 
-Steps are counted in rounds: one round visits every rule in file order,
-recomputes its body matches against the current (growing) instance, and
-fires each unsatisfied match in canonical element order.  A chase terminates
-when a full round adds nothing.
+Both keep their facts in a ``_Store``: one set of argument tuples per
+relation, plus hash indexes keyed on ``(relation, bound positions)``.  An
+index is built on its first lookup and updated on every insert after that.
+``_join`` is the single join: it matches atoms left to right, looking each
+one up through the index for the positions the assignment already binds, and
+iterates over a copy of the bucket, never the live one.  Body matches,
+semi-naive delta pins and the restricted chase's head check all go through
+it.
+
+Steps are counted in rounds: one round visits every rule in file order, and
+a chase terminates when a full round adds nothing.  Three points fix
+``steps`` and the null numbering:
+
+- Datalog: the delta is the previous round's new facts, and each body atom
+  in turn is pinned to it, first in the join.  A rule is evaluated against
+  the store as it stands when the rule is visited, so it sees facts derived
+  by earlier rules in the same round, and its derived set is computed in
+  full before any of it is inserted.
+- Existential: a rule's body matches are collected once, when the rule is
+  visited, and fired in the order of the serializations of their body
+  variables.  The head check reads the live store, including facts fired
+  earlier in the same visit.
+- An existential variable that occurs in no head atom can take any domain
+  element, so a rule with existentials is never satisfied while the domain
+  is empty.
 """
 
 from __future__ import annotations
@@ -44,30 +65,70 @@ def _check_input(P: Program, I: Instance):
             "instance schema does not match the program input schema")
 
 
-def _match_atoms(atoms, facts_by_rel, assignment) -> Iterator[dict]:
-    """All extensions of ``assignment`` matching the atoms, in canonical
-    order (facts visited in sorted order)."""
+class _Store:
+    """Argument tuples per relation, with lazily built hash indexes on
+    bound argument positions."""
+
+    __slots__ = ("arity", "facts", "indexes")
+
+    def __init__(self, schema: Schema, facts=()):
+        self.arity = schema.as_dict()
+        self.facts: dict[str, set] = {rel: set() for rel in schema.names}
+        # relation -> bound positions -> key tuple -> argument tuples
+        self.indexes: dict[str, dict[tuple, dict]] = {
+            rel: {} for rel in schema.names}
+        for rel, args in facts:
+            self.add(rel, args)
+
+    def add(self, rel: str, args: tuple) -> bool:
+        """Insert a fact; False when it was already present."""
+        tuples = self.facts[rel]
+        if args in tuples:
+            return False
+        tuples.add(args)
+        for positions, index in self.indexes[rel].items():
+            index.setdefault(tuple(args[p] for p in positions),
+                             []).append(args)
+        return True
+
+    def lookup(self, rel: str, positions: tuple, key: tuple) -> tuple:
+        """A copy of the tuples whose ``positions`` hold ``key``."""
+        tuples = self.facts[rel]
+        if not positions:
+            return tuple(tuples)
+        if len(positions) == self.arity[rel]:
+            return (key,) if key in tuples else ()
+        index = self.indexes[rel].get(positions)
+        if index is None:
+            index = {}
+            for args in tuples:
+                index.setdefault(tuple(args[p] for p in positions),
+                                 []).append(args)
+            self.indexes[rel][positions] = index
+        return tuple(index.get(key, ()))
+
+    def all_facts(self) -> list:
+        return [(rel, args) for rel, tuples in self.facts.items()
+                for args in tuples]
+
+
+def _join(atoms, store: _Store, assignment: dict) -> Iterator[dict]:
+    """Every extension of ``assignment`` mapping each atom onto a fact of
+    the store.  ``assignment`` itself is never modified."""
     if not atoms:
-        yield dict(assignment)
+        yield assignment
         return
     atom, rest = atoms[0], atoms[1:]
-    for args in facts_by_rel.get(atom.rel, ()):
+    positions = tuple(i for i, v in enumerate(atom.args) if v in assignment)
+    key = tuple(assignment[atom.args[i]] for i in positions)
+    for args in store.lookup(atom.rel, positions, key):
         new = dict(assignment)
-        ok = True
         for var, val in zip(atom.args, args):
-            if new.get(var, val) != val:
-                ok = False
+            old = new.setdefault(var, val)
+            if old is not val and old != val:
                 break
-            new[var] = val
-        if ok:
-            yield from _match_atoms(rest, facts_by_rel, new)
-
-
-def _sorted_facts_by_rel(facts: dict[str, set]) -> dict[str, list]:
-    return {
-        rel: sorted(tuples, key=lambda t: tuple(e.ser for e in t))
-        for rel, tuples in facts.items()
-    }
+        else:
+            yield from _join(rest, store, new)
 
 
 # ---------------------------------------------------------------------------
@@ -82,65 +143,41 @@ def chase_datalog(P: Program, I: Instance) -> ChaseResult:
                          "chase_existential")
     _check_input(P, I)
     full_schema = P.full_schema()
+    store = _Store(full_schema, I.facts)
 
-    total: dict[str, set] = {rel: set() for rel in full_schema.names}
-    for rel, args in I.facts:
-        total[rel].add(args)
-
-    def eval_rule(rule: Rule, delta: Optional[dict]) -> set:
+    def eval_rule(rule: Rule, delta: Optional[_Store]) -> set:
         """Head tuples derivable; with a delta, at least one body atom must
         match a delta fact."""
         head = rule.head_atoms[0]
-        derived = set()
         body = rule.body_atoms
         if delta is None or not body:
-            if delta is not None and body:
-                return derived
-            srt = _sorted_facts_by_rel(total)
-            for m in _match_atoms(body, srt, {}):
-                derived.add(tuple(m[v] for v in head.args))
-            return derived
-        srt = _sorted_facts_by_rel(total)
-        for i, atom in enumerate(body):
-            delta_facts = delta.get(atom.rel)
-            if not delta_facts:
-                continue
-            local = dict(srt)
-            local[atom.rel] = sorted(
-                delta_facts, key=lambda t: tuple(e.ser for e in t))
-            # pin atom i to delta facts; others range over the full store
-            for args in local[atom.rel]:
-                new = {}
-                ok = True
-                for var, val in zip(atom.args, args):
-                    if new.get(var, val) != val:
-                        ok = False
-                        break
-                    new[var] = val
-                if not ok:
-                    continue
-                rest = body[:i] + body[i + 1:]
-                for m in _match_atoms(rest, srt, new):
-                    derived.add(tuple(m[v] for v in head.args))
-        return derived
+            matches = _join(body, store, {})
+        else:
+            matches = (
+                m
+                for i, atom in enumerate(body) if delta.facts[atom.rel]
+                for pinned in _join(body[i:i + 1], delta, {})
+                for m in _join(body[:i] + body[i + 1:], store, pinned)
+            )
+        return {tuple(m[v] for v in head.args) for m in matches}
 
     steps = 0
-    delta: Optional[dict] = None
+    delta: Optional[_Store] = None
     while True:
-        new_delta: dict[str, set] = {}
+        new_delta = _Store(full_schema)
+        fired = False
         for rule in P.rules:
             head_rel = rule.head_atoms[0].rel
             for args in eval_rule(rule, delta):
-                if args not in total[head_rel]:
-                    total[head_rel].add(args)
-                    new_delta.setdefault(head_rel, set()).add(args)
-        if not new_delta:
+                if store.add(head_rel, args):
+                    new_delta.add(head_rel, args)
+                    fired = True
+        if not fired:
             break
         steps += 1
         delta = new_delta
 
-    facts = [(rel, args) for rel, tuples in total.items() for args in tuples]
-    full = Instance(full_schema, I.domain, facts)
+    full = Instance(full_schema, I.domain, store.all_facts())
     output = full.reduct(P.s_out.names)
     return ChaseResult(full=full, output=output, terminated=True, steps=steps)
 
@@ -171,38 +208,16 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
         raise ChaseError(f"unknown chase mode {mode!r}")
 
     full_schema = P.full_schema()
-    facts: dict[str, set] = {rel: set() for rel in full_schema.names}
-    for rel, args in I.facts:
-        facts[rel].add(args)
+    store = _Store(full_schema, I.facts)
     domain = set(I.domain)
     null_counter = 0
 
     def satisfied(rule: Rule, match: dict) -> bool:
-        """Does some extension of the exported assignment satisfy the
-        head in the current instance?"""
-        exported = dict(match)
-        exts = rule.existentials
-        if not exts:
-            return all(
-                tuple(exported[v] for v in a.args) in facts[a.rel]
-                for a in rule.head_atoms
-            )
-        elems = sorted(domain)
-
-        def try_assign(i: int) -> bool:
-            if i == len(exts):
-                return all(
-                    tuple(exported[v] for v in a.args) in facts[a.rel]
-                    for a in rule.head_atoms
-                )
-            for e in elems:
-                exported[exts[i]] = e
-                if try_assign(i + 1):
-                    return True
-            exported.pop(exts[i], None)
+        """Does some extension of the match satisfy the head in the
+        current instance?"""
+        if rule.existentials and not domain:
             return False
-
-        return try_assign(0)
+        return next(_join(rule.head_atoms, store, match), None) is not None
 
     def fire(rule: Rule, match: dict):
         nonlocal null_counter
@@ -213,26 +228,18 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
             domain.add(null)
             assignment[v] = null
         for a in rule.head_atoms:
-            facts[a.rel].add(tuple(assignment[v] for v in a.args))
+            store.add(a.rel, tuple(assignment[v] for v in a.args))
 
     steps = 0
     terminated = False
     while max_rounds is None or steps < max_rounds:
         fired = False
         for rule in P.rules:
-            srt = _sorted_facts_by_rel(facts)
             body_vars = sorted(rule.body_vars())
-            matches = [
-                m for m in _match_atoms(rule.body_atoms, srt, {})
-            ]
+            matches = list(_join(rule.body_atoms, store, {}))
             matches.sort(
                 key=lambda m: tuple(m[v].ser for v in body_vars))
-            seen = set()
             for m in matches:
-                key = tuple(m[v] for v in body_vars)
-                if key in seen:
-                    continue
-                seen.add(key)
                 if not satisfied(rule, m):
                     fire(rule, m)
                     fired = True
@@ -241,9 +248,7 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
             break
         steps += 1
 
-    all_facts = [(rel, args) for rel, tuples in facts.items()
-                 for args in tuples]
-    full = Instance(full_schema, domain, all_facts)
+    full = Instance(full_schema, domain, store.all_facts())
     output = full.reduct(P.s_out.names)
     return ChaseResult(full=full, output=output, terminated=terminated,
                        steps=steps)

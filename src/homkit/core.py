@@ -46,15 +46,17 @@ class Schema:
         object.__setattr__(
             self, "relations", tuple(sorted(items.items()))
         )
+        # not a dataclass field, so ==, hash and repr see only relations
+        object.__setattr__(self, "_arity", items)
 
     def arity(self, name: str) -> int:
-        for rel, ar in self.relations:
-            if rel == name:
-                return ar
-        raise SchemaMismatch(f"unknown relation {name}")
+        try:
+            return self._arity[name]
+        except KeyError:
+            raise SchemaMismatch(f"unknown relation {name}") from None
 
     def __contains__(self, name: str) -> bool:
-        return any(rel == name for rel, _ in self.relations)
+        return name in self._arity
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -400,14 +402,6 @@ def find_homomorphism(
     if search(0):
         return Homomorphism.of(assignment)
     return None
-
-
-def hom_equivalent(A: Instance, B: Instance, fixed=()) -> bool:
-    """True iff homomorphisms exist in both directions fixing ``fixed``."""
-    return (
-        find_homomorphism(A, B, fixed) is not None
-        and find_homomorphism(B, A, fixed) is not None
-    )
 
 
 def isomorphic(A: Instance, B: Instance) -> bool:

@@ -1,5 +1,7 @@
 """Tree-terms, automata, their algebra, and Datalog compilation."""
 
+import itertools
+
 import pytest
 
 from conftest import (
@@ -56,6 +58,43 @@ def test_term_to_tree_shapes():
     # the point is the root of child 2, which carries no label
     assert all(args[0] != T.points[0] for rel, args in T.facts
                if rel == "X1")
+
+
+def list_filter_terms(schema, labels, depth):
+    """The quadratic enumeration that ``enumerate_terms`` replaced: each
+    level rebuilds every earlier term and filters it out by list
+    membership."""
+    labels = sorted(labels)
+    leaves = []
+    for r in range(len(labels) + 1):
+        for combo in itertools.combinations(labels, r):
+            leaves.append(leaf(combo))
+    level = list(leaves)
+    yield from level
+    all_terms = list(level)
+    for _ in range(depth):
+        new = []
+        for rel, arity in schema.relations:
+            if arity == 0:
+                continue
+            for kids in itertools.product(all_terms, repeat=arity):
+                for i in range(1, arity + 1):
+                    new.append(node(rel, i, kids))
+        fresh = [t for t in new if t not in all_terms]
+        yield from fresh
+        all_terms += fresh
+        if not fresh:
+            break
+
+
+def test_enumerate_terms_matches_list_filter_reference():
+    cases = [(S, LABELS, 2),
+             (Schema([("E", 2), ("F", 1), ("Z", 0)]), ("X1", "X2"), 2)]
+    for schema, labels, depth in cases:
+        got = list(enumerate_terms(schema, labels, depth))
+        assert got == list(list_filter_terms(schema, labels, depth))
+        assert len(got) == len(set(got))
+    assert len(list(enumerate_terms(S, LABELS, 2))) == 202
 
 
 def test_tree_term_round_trip():

@@ -22,6 +22,13 @@ def test_schema_basics():
     assert "W" not in s
     u = s.union(Schema([("W", 0)]))
     assert "W" in u and "E" in u
+    with pytest.raises(SchemaMismatch):
+        s.arity("W")
+    # the lookup table is not a field: equality, hashing and repr see only
+    # the sorted relations
+    same = Schema({"V": 1, "E": 2})
+    assert same == s and hash(same) == hash(s)
+    assert repr(s) == "Schema(relations=(('E', 2), ('V', 1)))"
 
 
 def test_instance_rejects_bad_facts():
