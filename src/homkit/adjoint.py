@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Iterator
 
 from .core import (
     BOTTOM,
@@ -26,6 +25,7 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
+    _UnionFind,
 )
 from .program import (
     Atom,
@@ -103,16 +103,33 @@ def _var_components(body: tuple[Atom, ...]) -> list[set[str]]:
     """Connected components of the body's variable graph (variables linked
     when they co-occur in an atom).  One (possibly empty) set per component
     of the atom graph."""
-    g = nx.Graph()
+    uf = _UnionFind()
     for idx, atom in enumerate(body):
-        node = ("atom", idx)
-        g.add_node(node)
+        uf.find(("atom", idx))
         for v in atom.args:
-            g.add_edge(node, ("var", v))
-    comps = []
-    for comp in nx.connected_components(g):
-        comps.append({name for kind, name in comp if kind == "var"})
-    return sorted(comps, key=lambda c: sorted(c))
+            uf.union(("atom", idx), ("var", v))
+    comps: dict = {}
+    for idx, atom in enumerate(body):
+        comps.setdefault(uf.find(("atom", idx)), set()).update(atom.args)
+    return sorted(comps.values(), key=sorted)
+
+
+def _maximal_cliques(adj: dict) -> Iterator[frozenset]:
+    """Maximal cliques of a loop-free graph given as adjacency sets, by
+    Bron-Kerbosch with pivoting.  An empty graph has none."""
+
+    def expand(clique, cands, excluded):
+        if not cands and not excluded:
+            yield clique
+            return
+        pivot = max(cands | excluded, key=lambda u: len(cands & adj[u]))
+        for v in list(cands - adj[pivot]):
+            yield from expand(clique | {v}, cands & adj[v], excluded & adj[v])
+            cands = cands - {v}
+            excluded = excluded | {v}
+
+    if adj:
+        yield from expand(frozenset(), set(adj), set())
 
 
 def _pair_candidates(D, aux_schema: Schema, art: dict):
@@ -273,18 +290,15 @@ def tam_adjoint(P: Program, J: Instance,
 
     # connector-clique components: maximal element sets with the connector
     # fact present for every ordered pair (loops included)
-    g = nx.Graph()
     conn_facts = {args for r, args in big.facts if r == connector}
-    for e in big.domain:
-        if (e, e) in conn_facts:
-            g.add_node(e)
-    for e, f in itertools.combinations(sorted(g.nodes), 2):
+    adj = {e: set() for e in big.domain if (e, e) in conn_facts}
+    for e, f in itertools.combinations(sorted(adj), 2):
         if (e, f) in conn_facts and (f, e) in conn_facts:
-            g.add_edge(e, f)
+            adj[e].add(f)
+            adj[f].add(e)
     members = []
     seen = set()
-    for clique in nx.find_cliques(g):
-        comp = frozenset(clique)
+    for comp in _maximal_cliques(adj):
         sub_facts = [
             (r, args) for r, args in big.facts
             if r != connector and all(e in comp for e in args)

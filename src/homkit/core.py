@@ -7,11 +7,19 @@ active domain (the elements occurring in facts), and optionally a
 distinguished tuple of elements ("points").  Homomorphisms are total maps on
 the explicit domain that preserve facts and points and may be required to fix
 a set of elements pointwise.
+
+``iter_homomorphisms`` is the one backtracking search over instances: every
+homomorphism, isomorphism, endomorphism and core computation in the library
+goes through it.  Its order is fixed: pre-assigned elements (fixed, bound and
+pointed ones) first in sorted order, then the rest of the source's sorted
+domain, each trying the target's elements in sorted order.  So the
+enumeration order, and with it every first witness, is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 
@@ -319,174 +327,129 @@ def _check_hom_inputs(A: Instance, B: Instance, fixed, bindings):
                 raise HomkitError(f"binding target {dst.ser} not in domain(B)")
 
 
+def iter_homomorphisms(
+    A: Instance,
+    B: Instance,
+    fixed: Iterable[Element] = (),
+    bindings: Optional[dict] = None,
+    iso: bool = False,
+) -> Iterator[dict]:
+    """Every homomorphism A -> B as a dict, lazily; with ``iso``, every
+    isomorphism instead.
+
+    ``fixed`` elements must be mapped to themselves; ``bindings`` is a partial
+    map every result extends.  If both instances are pointed, points map to
+    points componentwise.  Backtracking assigns the pre-assigned elements
+    first, in sorted order, then the rest of A's sorted domain, trying
+    candidates in B's sorted order; a fact is checked as soon as its last
+    element in that order is assigned.
+    """
+    if iso and (len(A.domain) != len(B.domain)
+                or len(A.facts) != len(B.facts)
+                or len(A.points) != len(B.points)):
+        return
+    fixed = set(fixed)
+    _check_hom_inputs(A, B, fixed, bindings)
+    pre: dict[Element, Element] = {}
+    pairs = [(e, e) for e in fixed] + list((bindings or {}).items())
+    if A.points and B.points:
+        pairs += zip(A.points, B.points)
+    for src, dst in pairs:
+        if pre.setdefault(src, dst) != dst:
+            return
+    order = sorted(pre) + [e for e in A.sorted_domain() if e not in pre]
+    level = {e: i for i, e in enumerate(order)}
+    # checks[i]: the facts whose last element is order[i], as (relation,
+    # getter of the argument images)
+    checks: list[list] = [[] for _ in order]
+    for fact in A.facts:
+        rel, args = fact
+        if not args:
+            if fact not in B.facts:
+                return
+            continue
+        idx = [level[a] for a in args]
+        checks[max(idx)].append((rel, _args_getter(idx)))
+    b_elems = B.sorted_domain()
+    cands = [(pre[e],) for e in order[:len(pre)]]
+    cands += [b_elems] * (len(order) - len(pre))
+    if iso:
+        occ_a, occ_b = _occurrences(A), _occurrences(B)
+        cands = [[c for c in cs if occ_b[c] == occ_a[e]]
+                 for e, cs in zip(order, cands)]
+    if not order:
+        yield {}
+        return
+
+    b_facts = B.facts
+    last = len(order) - 1
+    image: list = [None] * len(order)
+    used: set = set()  # in iso mode: the images of levels 0..i-1
+    its = [iter(cands[0])] + [None] * last
+    i = 0
+    while i >= 0:
+        for cand in its[i]:
+            if iso and cand in used:
+                continue
+            image[i] = cand
+            for rel, get in checks[i]:
+                if (rel, get(image)) not in b_facts:
+                    break
+            else:
+                break
+        else:
+            i -= 1
+            if iso and i >= 0:
+                used.discard(image[i])
+            continue
+        if i == last:
+            yield dict(zip(order, image))
+        else:
+            if iso:
+                used.add(cand)
+            i += 1
+            its[i] = iter(cands[i])
+
+
+def _args_getter(idx: list):
+    """A function taking the image list to the argument tuple at ``idx``."""
+    if len(idx) == 1:
+        j = idx[0]
+        return lambda image: (image[j],)
+    return itemgetter(*idx)
+
+
+def _occurrences(inst: Instance) -> dict:
+    """Each element's sorted (relation, position) occurrence list, an
+    isomorphism invariant."""
+    occ: dict[Element, list] = {e: [] for e in inst.domain}
+    for rel, args in inst.facts:
+        for i, e in enumerate(args):
+            occ[e].append((rel, i))
+    for found in occ.values():
+        found.sort()
+    return occ
+
+
 def find_homomorphism(
     A: Instance,
     B: Instance,
     fixed: Iterable[Element] = (),
     bindings: Optional[dict] = None,
 ) -> Optional[Homomorphism]:
-    """Search for a homomorphism A -> B.
+    """The first homomorphism A -> B of ``iter_homomorphisms``, or None.
 
-    ``fixed`` elements must be mapped to themselves; ``bindings`` is a partial
-    map the result must extend.  If both instances are pointed, points map to
-    points componentwise.  Backtracking explores elements and candidate
-    targets in canonical serialization order, so the witness returned is
-    deterministic.
+    The witness is deterministic: the search order is fixed.
     """
-    fixed = set(fixed)
-    _check_hom_inputs(A, B, fixed, bindings)
-
-    assignment: dict[Element, Element] = {}
-
-    def bind(src: Element, dst: Element) -> bool:
-        if src in assignment:
-            return assignment[src] == dst
-        assignment[src] = dst
-        return True
-
-    for e in fixed:
-        if not bind(e, e):
-            return None
-    if bindings:
-        for src, dst in bindings.items():
-            if not bind(src, dst):
-                return None
-    if A.points and B.points:
-        for src, dst in zip(A.points, B.points):
-            if not bind(src, dst):
-                return None
-
-    order = [e for e in A.sorted_domain() if e not in assignment]
-    order = sorted(assignment) + order
-    pos = {e: i for i, e in enumerate(order)}
-
-    # facts become checkable once their latest element is assigned
-    closing: dict[Element, list[Fact]] = {e: [] for e in order}
-    for fact in A.facts:
-        _, args = fact
-        if args:
-            last = max(args, key=lambda e: pos[e])
-            closing[last].append(fact)
-        else:
-            # zero-ary fact: must be present in B outright
-            if fact not in B.facts:
-                return None
-
-    b_facts = B.facts
-    b_elems = sorted(B.domain)
-    if order and not b_elems:
-        return None
-
-    def consistent(e: Element) -> bool:
-        for rel, args in closing[e]:
-            image = tuple(assignment[a] for a in args)
-            if (rel, image) not in b_facts:
-                return False
-        return True
-
-    n_pre = len(assignment)
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        e = order[i]
-        if i < n_pre:
-            return consistent(e) and search(i + 1)
-        for cand in b_elems:
-            assignment[e] = cand
-            if consistent(e) and search(i + 1):
-                return True
-            del assignment[e]
-        return False
-
-    if search(0):
-        return Homomorphism.of(assignment)
-    return None
+    found = next(iter_homomorphisms(A, B, fixed, bindings), None)
+    return None if found is None else Homomorphism.of(found)
 
 
 def isomorphic(A: Instance, B: Instance) -> bool:
     """True iff a fact- and point-preserving bijection exists."""
     if A.schema.relations != B.schema.relations:
         raise SchemaMismatch("isomorphism endpoints have different schemas")
-    if len(A.domain) != len(B.domain) or len(A.facts) != len(B.facts):
-        return False
-    if len(A.points) != len(B.points):
-        return False
-    counts_a = {}
-    counts_b = {}
-    for rel, _ in A.facts:
-        counts_a[rel] = counts_a.get(rel, 0) + 1
-    for rel, _ in B.facts:
-        counts_b[rel] = counts_b.get(rel, 0) + 1
-    if counts_a != counts_b:
-        return False
-
-    def profile(inst: Instance):
-        """Occurrence profile per element, an isomorphism invariant."""
-        prof = {e: [] for e in inst.domain}
-        for rel, args in inst.facts:
-            for i, e in enumerate(args):
-                prof[e].append((rel, i))
-        pts = {e: [] for e in inst.domain}
-        for i, e in enumerate(inst.points):
-            pts[e].append(i)
-        return {
-            e: (tuple(sorted(prof[e])), tuple(pts[e])) for e in inst.domain
-        }
-
-    pa, pb = profile(A), profile(B)
-    order = sorted(A.domain)
-    b_elems = sorted(B.domain)
-    assignment: dict[Element, Element] = {}
-    used: set[Element] = set()
-
-    pos = {e: i for i, e in enumerate(order)}
-    closing: dict[Element, list[Fact]] = {e: [] for e in order}
-    for fact in A.facts:
-        _, args = fact
-        if args:
-            closing[max(args, key=lambda e: pos[e])].append(fact)
-        elif fact not in B.facts:
-            return False
-
-    for i, e in enumerate(A.points):
-        t = B.points[i]
-        if assignment.get(e, t) != t:
-            return False
-        if e not in assignment and t in used:
-            return False
-        assignment[e] = t
-        used.add(t)
-
-    free = [e for e in order if e not in assignment]
-
-    def search(i: int) -> bool:
-        if i == len(free):
-            return True
-        e = free[i]
-        for cand in b_elems:
-            if cand in used or pa[e] != pb[cand]:
-                continue
-            assignment[e] = cand
-            used.add(cand)
-            ok = all(
-                (rel, tuple(assignment[a] for a in args)) in B.facts
-                for rel, args in closing[e]
-            )
-            if ok and search(i + 1):
-                return True
-            del assignment[e]
-            used.discard(cand)
-        return False
-
-    # check facts closed by pre-assigned points
-    for e in assignment:
-        for rel, args in closing[e]:
-            if not all(a in assignment for a in args):
-                continue
-            if (rel, tuple(assignment[a] for a in args)) not in B.facts:
-                return False
-    return search(0)
+    return next(iter_homomorphisms(A, B, iso=True), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -570,40 +533,6 @@ def structure_report(A: Instance) -> StructureReport:
 # ---------------------------------------------------------------------------
 
 
-def _endomorphisms(A: Instance) -> Iterator[dict]:
-    """All point-preserving endomorphisms of A, lazily."""
-    order = sorted(A.domain)
-    pos = {e: i for i, e in enumerate(order)}
-    closing: dict[Element, list[Fact]] = {e: [] for e in order}
-    for fact in A.facts:
-        _, args = fact
-        if args:
-            closing[max(args, key=lambda e: pos[e])].append(fact)
-    assignment: dict[Element, Element] = {}
-    pinned = {}
-    for i, e in enumerate(A.points):
-        if pinned.get(e, e) != e:
-            return
-        pinned[e] = e
-
-    def search(i: int) -> Iterator[dict]:
-        if i == len(order):
-            yield dict(assignment)
-            return
-        e = order[i]
-        cands = [e] if e in pinned else order
-        for cand in cands:
-            assignment[e] = cand
-            if all(
-                (rel, tuple(assignment[a] for a in args)) in A.facts
-                for rel, args in closing[e]
-            ):
-                yield from search(i + 1)
-            del assignment[e]
-
-    yield from search(0)
-
-
 def core_of(A: Instance, cap: int = 8) -> Instance:
     """A minimal retract of A, by exhaustive endomorphism search.
 
@@ -613,7 +542,7 @@ def core_of(A: Instance, cap: int = 8) -> Instance:
     current = A
     while len(current.domain) <= cap:
         shrunk = None
-        for h in _endomorphisms(current):
+        for h in iter_homomorphisms(current, current):
             image = set(h.values())
             if len(image) < len(current.domain):
                 facts = {

@@ -17,6 +17,7 @@ not map into any dual.  Four constructions are provided:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -278,23 +279,6 @@ def chase_theory(P_sigma: Program, base: Schema, A: Instance,
     return out.with_points(A.points), res.terminated
 
 
-def _reduce_duals(duals: list) -> list:
-    """Drop duals whose down-closure is covered by another dual."""
-    kept = []
-    for i, di in enumerate(duals):
-        dominated = False
-        for j, dj in enumerate(duals):
-            if i == j:
-                continue
-            if find_homomorphism(di, dj) is not None:
-                if find_homomorphism(dj, di) is None or j < i:
-                    dominated = True
-                    break
-        if not dominated:
-            kept.append(di)
-    return kept
-
-
 def _base_duals(F_spec, provider, method: str, cap: int) -> list:
     if provider is not None:
         return list(provider(F_spec))
@@ -318,7 +302,8 @@ def _theory_duals(sigma, F_spec, provider, adjoint_program, method,
 
     raw = _base_duals(F_spec, provider, method, cap)
     raw = [core_of(d) for d in raw]
-    raw = _reduce_duals(sorted(raw, key=lambda d: d.canonical_key()))
+    raw = functools.reduce(_admit_dual,
+                           sorted(raw, key=lambda d: d.canonical_key()), [])
 
     duals = []
     unrename = {f"{r}_in": r for r, _ in base.relations}
@@ -338,7 +323,7 @@ def _theory_duals(sigma, F_spec, provider, adjoint_program, method,
                 if chase_duals:
                     cand, _ = chase_theory(P_sigma, base,
                                            cand, budget=budget)
-                cand = fold_reduce(adom_with_points(cand))
+                cand = fold_reduce(adom_instance(cand))
                 if not cand.domain:
                     cand = Instance(cand.schema, [Element.named("c")],
                                     [], cand.points)
@@ -347,10 +332,6 @@ def _theory_duals(sigma, F_spec, provider, adjoint_program, method,
                 duals = _admit_dual(duals, cand)
     duals.sort(key=lambda d: d.canonical_key())
     return tuple(duals), P_sigma, base, sigma
-
-
-def adom_with_points(I: Instance) -> Instance:
-    return adom_instance(I)
 
 
 def dual_wrt_theory(sigma, F_spec, provider: Optional[Callable] = None,
@@ -374,7 +355,7 @@ def dual_wrt_theory(sigma, F_spec, provider: Optional[Callable] = None,
         sigma, F_spec, provider, adjoint_program, method, cap,
         chase_duals=True, minimize=minimize, budget=budget)
     frontier = tuple(
-        adom_with_points(chase_theory(P_sigma, base, A, budget=budget)[0])
+        adom_instance(chase_theory(P_sigma, base, A, budget=budget)[0])
         for A in F_spec
     )
     return Duality(duals=duals, frontier=frontier, theory=sigma,

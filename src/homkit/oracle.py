@@ -20,6 +20,7 @@ from .core import (
     Instance,
     Schema,
     find_homomorphism,
+    iter_homomorphisms,
 )
 from .duality import abox_morphism, adom_instance, chase_theory, theory_program
 from .program import Program, classify, tgd_schema
@@ -92,14 +93,13 @@ def _is_model(C: Instance, P_sigma: Program, base: Schema,
 
 
 def enumerate_instances(schema: Schema, max_domain: int,
-                        filter_sigma=None, dedupe_iso: bool = False,
+                        filter_sigma=None,
                         budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
     """All instances over domains {e1..em}, m <= max_domain, all fact
     subsets, ordered by domain size, then fact count, then canonical fact
     order.  ``filter_sigma`` keeps only instances the dependency chase
     leaves unchanged up to hom-equivalence over the active domain
-    (requires terminating chases).  ``dedupe_iso`` keeps the first
-    representative of each isomorphism class.
+    (requires terminating chases).
     """
     if max_domain < 0:
         raise OracleError("max_domain must be >= 0")
@@ -111,12 +111,9 @@ def enumerate_instances(schema: Schema, max_domain: int,
         if not classify(P_sigma).weakly_acyclic:
             raise OracleError("instance filter requires a dependency set "
                               "with terminating chases")
-    from .core import isomorphic
-
     for m in range(max_domain + 1):
         elems = [Element.named(f"e{i}") for i in range(1, m + 1)]
         candidates = _all_facts(schema, elems)
-        seen: list[Instance] = []
         for size in range(len(candidates) + 1):
             for combo in itertools.combinations(range(len(candidates)),
                                                 size):
@@ -126,10 +123,6 @@ def enumerate_instances(schema: Schema, max_domain: int,
                         C.with_schema(base) if base != schema else C,
                         P_sigma, base, budget):
                     continue
-                if dedupe_iso:
-                    if any(isomorphic(C, s) for s in seen):
-                        continue
-                    seen.append(C)
                 yield C
 
 
@@ -144,57 +137,6 @@ def enumerate_pointed(schema: Schema, max_domain: int, k: int,
             continue
         for pts in itertools.product(C.sorted_domain(), repeat=k):
             yield C.with_points(pts)
-
-
-# ---------------------------------------------------------------------------
-# Homomorphism enumeration (for the diagram check)
-# ---------------------------------------------------------------------------
-
-
-def iter_homomorphisms(A: Instance, B: Instance,
-                       bindings: Optional[dict] = None) -> Iterator[dict]:
-    """All homomorphisms A -> B extending ``bindings``, lazily, in
-    canonical order."""
-    assignment: dict[Element, Element] = dict(bindings or {})
-    if A.points and B.points:
-        for src, dst in zip(A.points, B.points):
-            if assignment.setdefault(src, dst) != dst:
-                return
-    order = sorted(assignment) + [
-        e for e in A.sorted_domain() if e not in assignment]
-    pos = {e: i for i, e in enumerate(order)}
-    closing: dict[Element, list[Fact]] = {e: [] for e in order}
-    for fact in A.facts:
-        _, args = fact
-        if args:
-            closing[max(args, key=lambda e: pos[e])].append(fact)
-        elif fact not in B.facts:
-            return
-    b_elems = sorted(B.domain)
-    n_pre = len(assignment)
-
-    def consistent(e: Element) -> bool:
-        for rel, args in closing[e]:
-            if (rel, tuple(assignment[a] for a in args)) not in B.facts:
-                return False
-        return True
-
-    def search(i: int) -> Iterator[dict]:
-        if i == len(order):
-            yield dict(assignment)
-            return
-        e = order[i]
-        if i < n_pre:
-            if consistent(e):
-                yield from search(i + 1)
-            return
-        for cand in b_elems:
-            assignment[e] = cand
-            if consistent(e):
-                yield from search(i + 1)
-            del assignment[e]
-
-    yield from search(0)
 
 
 # ---------------------------------------------------------------------------

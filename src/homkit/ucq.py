@@ -9,11 +9,16 @@ category where examples are incomplete databases evaluated via the chase.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chase import DEFAULT_BUDGET, chase_existential, run_program
+from .chase import (
+    DEFAULT_BUDGET,
+    _join,
+    _Store,
+    chase_existential,
+    run_program,
+)
 from .core import Element, HomkitError, Instance, Schema, structure_report
 from .duality import (
     abox_dual,
@@ -126,39 +131,11 @@ def evaluate(q: UCQ, A: Instance) -> set:
             raise QueryError(
                 f"query relation {rel}/{arity} missing from the instance "
                 "schema")
+    store = _Store(A.schema, A.facts)
     answers: set = set()
-    facts_by_rel: dict[str, list] = {}
-    for rel, args in A.facts:
-        facts_by_rel.setdefault(rel, []).append(args)
-    elems = A.sorted_domain()
     for cq in q.disjuncts:
-        atoms = sorted(cq.atoms, key=lambda a: len(a.args), reverse=True)
-
-        def search(i: int, asg: dict):
-            if i == len(atoms):
-                loose = [v for v in cq.answer_vars if v not in asg]
-                if loose:
-                    # only possible for variables in zero-ary-free bodies;
-                    # validation guarantees none, but stay safe
-                    for combo in itertools.product(elems, repeat=len(loose)):
-                        full = dict(asg)
-                        full.update(zip(loose, combo))
-                        answers.add(tuple(full[v] for v in cq.answer_vars))
-                else:
-                    answers.add(tuple(asg[v] for v in cq.answer_vars))
-                return
-            a = atoms[i]
-            for args in facts_by_rel.get(a.rel, ()):
-                new = dict(asg)
-                ok = True
-                for v, e in zip(a.args, args):
-                    if new.setdefault(v, e) != e:
-                        ok = False
-                        break
-                if ok:
-                    search(i + 1, new)
-
-        search(0, {})
+        for asg in _join(cq.atoms, store, {}):
+            answers.add(tuple(asg[v] for v in cq.answer_vars))
     return answers
 
 

@@ -1,5 +1,8 @@
 """Generalized right adjoints: constructions, dispatch, composition."""
 
+import itertools
+import random
+
 import pytest
 
 from conftest import (
@@ -13,6 +16,7 @@ from conftest import (
 )
 from homkit.adjoint import (
     AdjointError,
+    _maximal_cliques,
     adjoint,
     compose_adjoints,
     sl_adjoint,
@@ -111,3 +115,25 @@ def test_compose_adjoints_pipeline():
     loop_in = rel_instance("R_in", 2, [("x", "x")])
     assert any(find_homomorphism(loop_in, m) is not None
                for m, _ in res.members)
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        density = rng.random()
+        adj = {v: set() for v in range(n)}
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u].add(v)
+                adj[v].add(u)
+        cliques = [
+            frozenset(c) for r in range(1, n + 1)
+            for c in itertools.combinations(range(n), r)
+            if all(v in adj[u] for u, v in itertools.combinations(c, 2))
+        ]
+        maximal = {c for c in cliques if not any(c < d for d in cliques)}
+        found = [frozenset(c) for c in _maximal_cliques(adj)]
+        assert len(found) == len(set(found))
+        assert set(found) == maximal
+    assert list(_maximal_cliques({})) == []

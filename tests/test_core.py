@@ -86,6 +86,16 @@ def test_isomorphic_deterministic():
     assert not isomorphic(A, digraph([("a", "b")]))
 
 
+def test_isomorphic_checks_facts_closed_by_points():
+    # E(c,c) ends on the point c; no bijection sends it onto a fact of B
+    a, b, c = (Element.named(s) for s in "abc")
+    E = Schema([("E", 2)])
+    A = Instance(E, [a, b, c], [("E", (b, c)), ("E", (c, c))], (c, a))
+    B = Instance(E, [a, b, c], [("E", (a, c)), ("E", (b, b))], (b, c))
+    assert not isomorphic(A, B)
+    assert not isomorphic(B, A)
+
+
 def test_core_of_cycle_with_retract():
     # a 2-cycle plus a pendant edge retracts onto the 2-cycle
     A = digraph([("a", "b"), ("b", "a"), ("b", "c")])

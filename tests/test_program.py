@@ -32,6 +32,7 @@ from homkit.program import (
     to_simple_tam,
     unfoldings,
 )
+from homkit.syntax import parse_program
 from homkit.ucq import CQ
 
 
@@ -99,6 +100,18 @@ def test_unfoldings_two_instances():
     expect2 = Instance(P.s_in, [a, b], [("S", (a, b))], (a, b))
     for expected in (expect1, expect2):
         assert any(isomorphic(u, expected) for u in us)
+
+
+def test_unfoldings_keep_pointed_non_isomorphic_rules():
+    # the two bodies differ only in facts closed by a point, which the
+    # isomorphism dedupe must still compare
+    P = parse_program(
+        "program\nin: E/2\nout: Q/2\nrules\n"
+        "Q(a,b) :- E(a,a), E(a,d), E(b,a), E(c,d).\n"
+        "Q(d,c) :- E(a,b), E(c,b), E(c,d), E(d,d).\n")
+    us = unfoldings(P, "Q", 1)
+    assert len(us) == 2
+    assert not isomorphic(us[0], us[1])
 
 
 def test_unfoldings_characterize_output(tc_program):
