@@ -25,8 +25,14 @@ a chase terminates when a full round adds nothing.  Three points fix
   full before any of it is inserted.
 - Existential: a rule's body matches are collected once, when the rule is
   visited, and fired in the order of the serializations of their body
-  variables.  The head check reads the live store, including facts fired
-  earlier in the same visit.
+  variables.  A visit collects only the matches that are new since the
+  rule's previous visit, those that use a fact inserted after that visit
+  began, found by pinning each body atom in turn to those facts as in
+  Datalog.  Skipping the old ones is exact: the store only grows, so a
+  match that was satisfied or fired at an earlier visit is still
+  satisfied, and the fired sequence, ``steps`` and the null numbering are
+  those of collecting every match.  The head check reads the live store,
+  including facts fired earlier in the same visit.
 - An existential variable that occurs in no head atom can take any domain
   element, so a rule with existentials is never satisfied while the domain
   is empty.
@@ -131,6 +137,21 @@ def _join(atoms, store: _Store, assignment: dict) -> Iterator[dict]:
             yield from _join(rest, store, new)
 
 
+def _matches(body, store: _Store, delta: Optional[_Store]) -> Iterator[dict]:
+    """Body matches in the store.  With a delta (a store holding some of
+    the store's facts), only those mapping at least one body atom onto a
+    delta fact: each atom in turn is pinned to the delta, first in the join,
+    so a match may be found more than once."""
+    if delta is None or not body:
+        return _join(body, store, {})
+    return (
+        m
+        for i, atom in enumerate(body) if delta.facts[atom.rel]
+        for pinned in _join(body[i:i + 1], delta, {})
+        for m in _join(body[:i] + body[i + 1:], store, pinned)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Datalog (semi-naive)
 # ---------------------------------------------------------------------------
@@ -149,17 +170,8 @@ def chase_datalog(P: Program, I: Instance) -> ChaseResult:
         """Head tuples derivable; with a delta, at least one body atom must
         match a delta fact."""
         head = rule.head_atoms[0]
-        body = rule.body_atoms
-        if delta is None or not body:
-            matches = _join(body, store, {})
-        else:
-            matches = (
-                m
-                for i, atom in enumerate(body) if delta.facts[atom.rel]
-                for pinned in _join(body[i:i + 1], delta, {})
-                for m in _join(body[:i] + body[i + 1:], store, pinned)
-            )
-        return {tuple(m[v] for v in head.args) for m in matches}
+        return {tuple(m[v] for v in head.args)
+                for m in _matches(rule.body_atoms, store, delta)}
 
     steps = 0
     delta: Optional[_Store] = None
@@ -209,6 +221,7 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
 
     full_schema = P.full_schema()
     store = _Store(full_schema, I.facts)
+    inserted = list(I.facts)  # every fact in insertion order
     domain = set(I.domain)
     null_counter = 0
 
@@ -228,18 +241,29 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
             domain.add(null)
             assignment[v] = null
         for a in rule.head_atoms:
-            store.add(a.rel, tuple(assignment[v] for v in a.args))
+            args = tuple(assignment[v] for v in a.args)
+            if store.add(a.rel, args):
+                inserted.append((a.rel, args))
 
+    body_vars = [sorted(rule.body_vars()) for rule in P.rules]
+    # per rule, how many facts were inserted when its last visit began
+    seen = [0] * len(P.rules)
     steps = 0
     terminated = False
     while max_rounds is None or steps < max_rounds:
         fired = False
-        for rule in P.rules:
-            body_vars = sorted(rule.body_vars())
-            matches = list(_join(rule.body_atoms, store, {}))
-            matches.sort(
-                key=lambda m: tuple(m[v].ser for v in body_vars))
-            for m in matches:
+        for r, rule in enumerate(P.rules):
+            start, seen[r] = seen[r], len(inserted)
+            if not start:
+                delta = None  # every match
+            elif start < len(inserted):
+                delta = _Store(full_schema, inserted[start:])
+            else:
+                continue  # nothing inserted since the last visit
+            matches = {tuple(m[v].ser for v in body_vars[r]): m
+                       for m in _matches(rule.body_atoms, store, delta)}
+            for key in sorted(matches):
+                m = matches[key]
                 if not satisfied(rule, m):
                     fire(rule, m)
                     fired = True

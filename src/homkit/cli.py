@@ -441,9 +441,6 @@ def cmd_theory_print(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON output")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="oracle parallelism (accepted; evaluation is "
-                        "sequential)")
 
 
 def build_parser() -> argparse.ArgumentParser:

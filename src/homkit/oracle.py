@@ -145,44 +145,35 @@ def enumerate_pointed(schema: Schema, max_domain: int, k: int,
 
 
 def _frontier_hit(F, C: Instance, sigma, category: str,
-                  budget: int, morph_budget: int) -> Optional[bool]:
-    """Is (C, c) in the upward closure of the frontier?  None = unknown."""
-    if isinstance(F, tuple) and len(F) in (2, 3) and \
-            isinstance(F[0], Program):
-        # generator: derivation membership via the chase
-        P, R = F[0], F[1]
-        I = C.with_points(()).with_schema(P.s_in)
-        res = run_program(P, I, budget=budget)
-        target = (R, tuple(C.points))
-        return target in res.output.facts
-    for A in F:
-        if category == "abox":
+                  morph_budget: int) -> Optional[bool]:
+    """Is (C, c) in the upward closure of an explicit frontier?  None =
+    unknown."""
+    if category == "abox":
+        for A in F:
             h = dict(zip(A.points, C.points))
             ans = abox_morphism(sigma, A, C, h, budget=morph_budget)
             if ans == "yes":
                 return True
             if ans == "unknown":
                 return None
-        else:
-            if find_homomorphism(A, adom_instance(C)) is not None:
-                return True
-    return False
+        return False
+    C_adom = adom_instance(C)
+    return any(find_homomorphism(A, C_adom) is not None for A in F)
 
 
 def _dual_hit(D, C: Instance, sigma, category: str,
-              budget: int, morph_budget: int) -> Optional[bool]:
+              morph_budget: int) -> Optional[bool]:
+    if category != "abox":
+        C_adom = adom_instance(C)
+        return any(find_homomorphism(C_adom, d) is not None for d in D)
     unknown = False
     for d in D:
-        if category == "abox":
-            h = dict(zip(C.points, d.points))
-            ans = abox_morphism(sigma, C, d, h, budget=morph_budget)
-            if ans == "yes":
-                return True
-            if ans == "unknown":
-                unknown = True
-        else:
-            if find_homomorphism(adom_instance(C), d) is not None:
-                return True
+        h = dict(zip(C.points, d.points))
+        ans = abox_morphism(sigma, C, d, h, budget=morph_budget)
+        if ans == "yes":
+            return True
+        if ans == "unknown":
+            unknown = True
     return None if unknown else False
 
 
@@ -197,12 +188,15 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     "some frontier member maps into (C, c)" and "(C, c) maps into some
     dual" must hold.  ``F`` is a set of pointed instances or a
     (program, relation[, depth]) generator; generator membership is decided
-    by chase derivation of R(c).
+    by chase derivation of R(c), with one chase per unpointed instance
+    shared by all its point tuples.
     """
     duals = list(D)
     if category is None:
         category = "plain" if sigma is None else "relative"
-    if isinstance(F, tuple) and F and isinstance(F[0], Program):
+    generator = isinstance(F, tuple) and bool(F) and \
+        isinstance(F[0], Program)
+    if generator:
         schema = F[0].s_in
         k = F[0].s_out.arity(F[1])
     else:
@@ -213,19 +207,29 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         schema = probe.schema
         k = len(probe.points)
     filt = sigma if (sigma is not None and category == "relative") else None
-    for C in enumerate_pointed(schema, B, k, filter_sigma=filt,
-                               budget=budget):
-        fin = _frontier_hit(F, C, sigma, category, budget, morph_budget)
-        din = _dual_hit(duals, C, sigma, category, budget, morph_budget)
-        if fin is None or din is None:
-            return Verdict(False, B, C, unknown=True,
-                           explanation="unknown: bounded chase could not "
-                                       "decide a morphism for this instance")
-        if fin == din:
-            side = ("in both the frontier's and the duals' closure"
-                    if fin else "in neither closure")
-            return Verdict(False, B, C,
-                           explanation=f"instance is {side}")
+    for C in enumerate_instances(schema, B, filter_sigma=filt,
+                                 budget=budget):
+        if k and not C.domain:
+            continue  # no point tuples
+        if generator:
+            derived = run_program(F[0], C, budget=budget).output.facts
+        for pts in itertools.product(C.sorted_domain(), repeat=k):
+            Cp = C.with_points(pts) if k else C
+            if generator:
+                fin = (F[1], pts) in derived
+            else:
+                fin = _frontier_hit(F, Cp, sigma, category, morph_budget)
+            din = _dual_hit(duals, Cp, sigma, category, morph_budget)
+            if fin is None or din is None:
+                return Verdict(False, B, Cp, unknown=True,
+                               explanation="unknown: bounded chase could "
+                                           "not decide a morphism for this "
+                                           "instance")
+            if fin == din:
+                side = ("in both the frontier's and the duals' closure"
+                        if fin else "in neither closure")
+                return Verdict(False, B, Cp,
+                               explanation=f"instance is {side}")
     return Verdict(True, B)
 
 
@@ -234,15 +238,18 @@ def verify_duality(F, D, B: int = 3, sigma=None,
 # ---------------------------------------------------------------------------
 
 
-def _program_output(P: Program, I: Instance, budget: int):
-    """(output instance restricted to its active domain, stable?)"""
-    if P.is_datalog or classify(P).weakly_acyclic:
+def _chase_terminates(P: Program) -> bool:
+    return P.is_datalog or classify(P).weakly_acyclic
+
+
+def _program_output(P: Program, I: Instance, budget: int, terminates: bool):
+    """(output instance restricted to its active domain, stable?);
+    ``terminates`` is ``_chase_terminates(P)``."""
+    if terminates:
         res = run_program(P, I, budget=budget)
-        return adom_instance(res.output), True
-    res = chase_existential(P, I, mode="bounded", budget=budget)
-    if res.terminated:
-        return adom_instance(res.output), True
-    return adom_instance(res.output), False
+    else:
+        res = chase_existential(P, I, mode="bounded", budget=budget)
+    return adom_instance(res.output), terminates or res.terminated
 
 
 def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
@@ -257,11 +264,12 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
     otherwise the verdict is unknown.
     """
     members = list(result.members)
+    terminates = _chase_terminates(P)
     for I in enumerate_instances(P.s_in, B):
-        out, stable = _program_output(P, I, budget)
+        out, stable = _program_output(P, I, budget, terminates)
         lhs = find_homomorphism(out, J) is not None
         if not stable:
-            out1, _ = _program_output(P, I, budget + 1)
+            out1, _ = _program_output(P, I, budget + 1, terminates)
             lhs1 = find_homomorphism(out1, J) is not None
             if lhs != lhs1:
                 return Verdict(False, B, I, unknown=True,
@@ -315,12 +323,13 @@ def programs_equivalent_bounded(P1: Program, P2: Program, B: int = 3,
     if P1.s_in.relations != P2.s_in.relations or \
             P1.s_out.relations != P2.s_out.relations:
         raise OracleError("programs have different input or output schemas")
+    programs = [(P, _chase_terminates(P)) for P in (P1, P2)]
     for I in enumerate_instances(P1.s_in, B):
         outs = []
-        for P in (P1, P2):
-            out, stable = _program_output(P, I, budget)
+        for P, terminates in programs:
+            out, stable = _program_output(P, I, budget, terminates)
             if not stable:
-                out1, _ = _program_output(P, I, budget + 1)
+                out1, _ = _program_output(P, I, budget + 1, terminates)
                 stable = out.canonical_key() == out1.canonical_key()
             if not stable:
                 return Verdict(False, B, I, unknown=True,

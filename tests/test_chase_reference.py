@@ -77,6 +77,61 @@ def _instance(rng, schema=S_IN) -> Instance:
     return Instance(schema, elems, facts)
 
 
+def _connected_body(rng, rels, n: int) -> tuple:
+    """n atoms over x, y, z, each sharing a variable with the atoms before
+    it, so that joins stay small as the chase grows."""
+    body, used = [], []
+    for _ in range(n):
+        rel, arity = rng.choice(rels)
+        args = [rng.choice(VARS[:3]) for _ in range(arity)]
+        if used and arity and not set(args) & set(used):
+            args[rng.randrange(arity)] = rng.choice(used)
+        used += args
+        body.append(Atom(rel, tuple(args)))
+    return tuple(body)
+
+
+def _recursive_program(rng) -> Program:
+    """A program whose chase grows a T-chain by one null per round at each
+    end: a seed rule feeds T from the input, one existential "spine" rule
+    extends T forward (T(y,e)) or backward (T(e,x)), possibly only where a
+    derived V holds and with more head atoms, and up to three other rules
+    derive V, W, Z, O and Q from connected bodies, with existentials only
+    in heads no body reads.  The rules come in random order."""
+    seed = rng.choice([
+        Rule((Atom("T", ("x", "y")),), (Atom("E", ("x", "y")),)),
+        Rule((Atom("T", ("y", "x")),), (Atom("E", ("x", "y")),)),
+        Rule((Atom("T", ("x", "x")),), (Atom("U", ("x",)),)),
+        Rule((Atom("T", ("x", "e")),), (Atom("U", ("x",)),), ("e",)),
+    ])
+    body = [Atom("T", ("x", "x") if rng.random() < 0.2 else ("x", "y"))]
+    forward = rng.random() < 0.6
+    end = body[0].args[1] if forward else body[0].args[0]
+    if rng.random() < 0.4:
+        body.append(Atom("V", (end,)))
+    heads = [Atom("T", (end, "e") if forward else ("e", end))]
+    pool = sorted({v for a in body for v in a.args}) + ["e"]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        heads.append(_atom(rng, (("V", 1), ("W", 3), ("Q", 1), ("O", 2),
+                                 ("Z", 0)), pool))
+    rules = [seed, Rule(tuple(heads), tuple(body), ("e",))]
+    readable = S_IN.relations + (("T", 2), ("V", 1), ("W", 3))
+    for _ in range(rng.randint(1, 3)):
+        body = _connected_body(rng, readable, rng.choice((1, 1, 2)))
+        pool = sorted({v for a in body for v in a.args})
+        if rng.random() < 0.5:
+            rels = (("V", 1), ("W", 3), ("Z", 0), ("O", 2), ("Q", 1))
+            rules.append(Rule((_atom(rng, rels, pool),), body))
+            continue
+        exts = ("e1",) if rng.random() < 0.8 else ("e1", "e2")
+        heads = tuple(_atom(rng, (("O", 2), ("Q", 1), ("Z", 0)),
+                            pool + ["e1"])
+                      for _ in range(rng.choice((1, 2))))
+        rules.append(Rule(heads, body, exts))
+    rng.shuffle(rules)
+    return Program(S_IN, S_OUT, S_AUX, rules)
+
+
 def _summary(res):
     return (repr(res.full), sorted(e.ser for e in res.full.domain),
             res.steps, res.terminated)
@@ -101,6 +156,35 @@ def test_bounded_existential_matches_reference():
             got = chase_existential(P, I, mode="bounded", budget=4)
             want = ref.chase_existential(P, I, mode="bounded", budget=4)
             assert _summary(got) == _summary(want), (str(P.rules), I)
+
+
+def test_deep_bounded_existential_matches_reference():
+    rng = random.Random(5150)
+    deep = 0
+    for _ in range(200):
+        P = _recursive_program(rng)
+        I = _instance(rng)
+        budget = rng.randint(8, 40)
+        got = chase_existential(P, I, mode="bounded", budget=budget)
+        want = ref.chase_existential(P, I, mode="bounded", budget=budget)
+        assert _summary(got) == _summary(want), (str(P.rules), I, budget)
+        deep += got.steps >= 8
+    assert deep >= 40  # many cases run past the budget of the test above
+
+
+def test_bounded_chain_is_linear_in_the_budget():
+    # R(x,y) -> exists z R(y,z) on one edge: one null per round, each rule
+    # visit seeing only the fact the previous round added
+    P = make_nonterminating_program()
+    a, b = Element.named("a"), Element.named("b")
+    res = chase_existential(P, Instance(P.s_in, [a, b], [("R_in", (a, b))]),
+                            mode="bounded", budget=2000)
+    assert res.steps == 2000 and res.terminated is False
+    nulls = [Element.null(i) for i in range(1, 2001)]
+    assert res.full.domain == {a, b, *nulls}
+    chain = [a, b, *nulls]
+    assert set(res.full.facts_of("R")) == {
+        ("R", pair) for pair in zip(chain, chain[1:])}
 
 
 def test_worked_programs_match_reference():

@@ -1,0 +1,249 @@
+"""Differential test: ``oracle.verify_duality``, which chases each
+unpointed instance once for all its point tuples, agrees exactly with the
+per-tuple loop it replaced, kept below verbatim as the slow reference: same
+``passed``, ``unknown``, explanation and counterexample, points included."""
+
+import itertools
+import random
+from typing import Iterator, Optional
+
+from conftest import (
+    digraph,
+    make_path_program,
+    make_sigma1_rewrite,
+    make_tc_program,
+    sigma1,
+    sigma2,
+)
+from homkit.chase import DEFAULT_BUDGET, run_program
+from homkit.core import Instance, Schema, find_homomorphism
+from homkit.duality import (
+    abox_dual,
+    abox_morphism,
+    adom_instance,
+    dual_from_program,
+    dual_wrt_theory,
+)
+from homkit import oracle
+from homkit.oracle import OracleError, Verdict, enumerate_instances
+from homkit.program import Atom, Program, Rule
+
+
+# ---------------------------------------------------------------------------
+# The per-tuple loop (one chase for every point tuple)
+# ---------------------------------------------------------------------------
+
+
+def enumerate_pointed(schema: Schema, max_domain: int, k: int,
+                      filter_sigma=None,
+                      budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
+    """Pointed variant: every instance with every k-tuple over its domain."""
+    for C in enumerate_instances(schema, max_domain, filter_sigma,
+                                 budget=budget):
+        if k == 0:
+            yield C
+            continue
+        for pts in itertools.product(C.sorted_domain(), repeat=k):
+            yield C.with_points(pts)
+
+
+# ---------------------------------------------------------------------------
+# Duality verification
+# ---------------------------------------------------------------------------
+
+
+def _frontier_hit(F, C: Instance, sigma, category: str,
+                  budget: int, morph_budget: int) -> Optional[bool]:
+    """Is (C, c) in the upward closure of the frontier?  None = unknown."""
+    if isinstance(F, tuple) and len(F) in (2, 3) and \
+            isinstance(F[0], Program):
+        # generator: derivation membership via the chase
+        P, R = F[0], F[1]
+        I = C.with_points(()).with_schema(P.s_in)
+        res = run_program(P, I, budget=budget)
+        target = (R, tuple(C.points))
+        return target in res.output.facts
+    for A in F:
+        if category == "abox":
+            h = dict(zip(A.points, C.points))
+            ans = abox_morphism(sigma, A, C, h, budget=morph_budget)
+            if ans == "yes":
+                return True
+            if ans == "unknown":
+                return None
+        else:
+            if find_homomorphism(A, adom_instance(C)) is not None:
+                return True
+    return False
+
+
+def _dual_hit(D, C: Instance, sigma, category: str,
+              budget: int, morph_budget: int) -> Optional[bool]:
+    unknown = False
+    for d in D:
+        if category == "abox":
+            h = dict(zip(C.points, d.points))
+            ans = abox_morphism(sigma, C, d, h, budget=morph_budget)
+            if ans == "yes":
+                return True
+            if ans == "unknown":
+                unknown = True
+        else:
+            if find_homomorphism(adom_instance(C), d) is not None:
+                return True
+    return None if unknown else False
+
+
+def verify_duality(F, D, B: int = 3, sigma=None,
+                   category: Optional[str] = None,
+                   budget: int = DEFAULT_BUDGET,
+                   morph_budget: int = 10) -> Verdict:
+    """Check the duality statement exhaustively at bound B.
+
+    For every pointed (C, c) with at most B elements (dependency models
+    only when ``sigma`` is given in the model category), exactly one of
+    "some frontier member maps into (C, c)" and "(C, c) maps into some
+    dual" must hold.  ``F`` is a set of pointed instances or a
+    (program, relation[, depth]) generator; generator membership is decided
+    by chase derivation of R(c).
+    """
+    duals = list(D)
+    if category is None:
+        category = "plain" if sigma is None else "relative"
+    if isinstance(F, tuple) and F and isinstance(F[0], Program):
+        schema = F[0].s_in
+        k = F[0].s_out.arity(F[1])
+    else:
+        F = list(F)
+        if not F and not duals:
+            raise OracleError("nothing to verify")
+        probe = (F or duals)[0]
+        schema = probe.schema
+        k = len(probe.points)
+    filt = sigma if (sigma is not None and category == "relative") else None
+    for C in enumerate_pointed(schema, B, k, filter_sigma=filt,
+                               budget=budget):
+        fin = _frontier_hit(F, C, sigma, category, budget, morph_budget)
+        din = _dual_hit(duals, C, sigma, category, budget, morph_budget)
+        if fin is None or din is None:
+            return Verdict(False, B, C, unknown=True,
+                           explanation="unknown: bounded chase could not "
+                                       "decide a morphism for this instance")
+        if fin == din:
+            side = ("in both the frontier's and the duals' closure"
+                    if fin else "in neither closure")
+            return Verdict(False, B, C,
+                           explanation=f"instance is {side}")
+    return Verdict(True, B)
+
+
+# ---------------------------------------------------------------------------
+# Cases
+# ---------------------------------------------------------------------------
+
+
+E = Schema([("E", 2)])
+
+
+def _summary(v: Verdict):
+    cex = v.counterexample
+    return (v.passed, v.unknown, v.bound, v.explanation, repr(cex),
+            None if cex is None else sorted(e.ser for e in cex.domain))
+
+
+def _same(F, D, B, **kw):
+    got = oracle.verify_duality(F, D, B, **kw)
+    want = verify_duality(F, D, B, **kw)
+    assert _summary(got) == _summary(want), (F, D, B)
+    return got
+
+
+def _path_out(n: int, ends: tuple) -> Program:
+    """Ans over the chosen positions of an n-edge directed path x0..xn."""
+    body = tuple(Atom("E", (f"x{i}", f"x{i + 1}")) for i in range(n))
+    head = tuple(f"x{i}" for i in ends)
+    return Program(E, Schema([("Ans", len(head))]), Schema([]),
+                   [Rule((Atom("Ans", head),), body)])
+
+
+def _random_pointed(rng, k: int) -> Instance:
+    names = [f"d{i}" for i in range(rng.randint(1, 3))]
+    edges = [(a, b) for a in names for b in names if rng.random() < 0.35]
+    points = tuple(rng.choice(names) for _ in range(k))
+    return digraph(edges, extra=names, points=points)
+
+
+def _wrong_duals(rng, duals: list, k: int) -> list:
+    """A seeded perturbation: drop a dual, add a random one, or add or
+    drop an edge of one."""
+    duals = list(duals)
+    choice = rng.randrange(4)
+    if choice == 0 and duals:
+        duals.pop(rng.randrange(len(duals)))
+    elif choice == 1 or not duals:
+        duals.append(_random_pointed(rng, k))
+    else:
+        i = rng.randrange(len(duals))
+        d = duals[i]
+        facts = sorted(d.facts)
+        if choice == 2 and facts:
+            facts.pop(rng.randrange(len(facts)))
+        else:
+            elems = d.sorted_domain()
+            facts.append(("E", (rng.choice(elems), rng.choice(elems))))
+        duals[i] = Instance(d.schema, d.domain, facts, d.points)
+    return duals
+
+
+GENERATORS = [
+    make_path_program(1), make_path_program(2), make_path_program(3),
+    _path_out(1, (0,)), _path_out(2, (0,)), _path_out(2, (1,)),
+    _path_out(1, (0, 1)), make_tc_program(),
+]
+
+
+def test_generators_cover_point_arities():
+    assert sorted({P.s_out.arity("Ans") for P in GENERATORS}) == [0, 1, 2]
+
+
+def test_generator_frontiers_match_reference():
+    rng = random.Random(4051)
+    verdicts = []
+    for P in GENERATORS:
+        d = dual_from_program(P, "Ans")
+        k = P.s_out.arity("Ans")
+        for B in (2, 3):
+            verdicts.append(_same(d.generator, d.duals, B))
+            for _ in range(3):
+                verdicts.append(
+                    _same(d.generator, _wrong_duals(rng, d.duals, k), B))
+    # both outcomes occur, and failures at both bounds
+    assert any(v.passed for v in verdicts)
+    assert {v.bound for v in verdicts if not v.passed} == {2, 3}
+
+
+def test_explicit_frontiers_match_reference():
+    rng = random.Random(977)
+    for _ in range(12):
+        k = rng.choice((0, 1, 2))
+        F = [_random_pointed(rng, k) for _ in range(rng.randint(1, 2))]
+        D = [_random_pointed(rng, k) for _ in range(rng.randint(0, 2))]
+        for B in (2, 3):
+            _same(F, D, B)
+    edge = digraph([("a", "b")], points=("a",))
+    _same([edge], [digraph([], extra=["x"], points=("x",))], 3)
+
+
+def test_theory_frontiers_match_reference():
+    sigma = sigma1("E")
+    d = dual_wrt_theory(sigma, [digraph([("a", "b"), ("b", "c")])],
+                        adjoint_program=make_sigma1_rewrite("E"))
+    for B in (2, 3):
+        assert _same(d.frontier, d.duals, B, sigma=sigma,
+                     category="relative").passed
+        assert not _same(d.frontier, d.duals[1:], B, sigma=sigma,
+                         category="relative").passed
+    sigma = sigma2("E")
+    d = abox_dual(sigma, [digraph([("a", "b")])])
+    assert _same(d.frontier, d.duals, 2, sigma=sigma,
+                 category="abox").passed
