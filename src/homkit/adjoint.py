@@ -30,7 +30,6 @@ from .core import (
 from .program import (
     Atom,
     Program,
-    ProgramError,
     Rule,
     articulation_search,
     classify,

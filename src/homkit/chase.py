@@ -4,8 +4,11 @@
 existentials.  ``chase_existential`` runs the restricted (standard) chase
 with labeled nulls: a rule fires on a body match only when no assignment of
 its existential variables into the current domain already satisfies the head.
+``run_program`` picks between them by ``Program.terminates``, and
+``chase_theory`` chases a base-schema instance through a dependency set
+compiled by ``program.tgd_compile``.
 
-Both keep their facts in a ``_Store``: one set of argument tuples per
+The two chases keep their facts in a ``_Store``: one set of argument tuples per
 relation, plus hash indexes keyed on ``(relation, bound positions)``.  An
 index is built on its first lookup and updated on every insert after that.
 ``_join`` is the single join: it matches atoms left to right, looking each
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Element, HomkitError, Instance, Schema, SchemaMismatch
-from .program import Program, Rule, classify
+from .program import Program, Rule, instance_to_input, output_to_instance
 
 DEFAULT_BUDGET = 10_000
 
@@ -210,7 +213,7 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
     """
     _check_input(P, I)
     if mode == "wa":
-        if not classify(P).weakly_acyclic:
+        if not P.terminates:
             raise NotWeaklyAcyclic("program is not weakly acyclic; use "
                                    "bounded mode")
         max_rounds = None
@@ -290,6 +293,25 @@ def run_program(P: Program, I: Instance,
     otherwise."""
     if P.is_datalog:
         return chase_datalog(P, I)
-    if classify(P).weakly_acyclic:
+    if P.terminates:
         return chase_existential(P, I, mode="wa")
     return chase_existential(P, I, mode="bounded", budget=budget)
+
+
+def chase_theory(P_sigma: Program, A: Instance,
+                 rounds: Optional[int] = None) -> tuple[Instance, bool]:
+    """Chase an instance through a compiled dependency set.
+
+    ``P_sigma`` comes from ``program.tgd_compile``, whose aux schema is the
+    base schema S.  A's relations are copied to their ``R_in`` inputs, the
+    program runs to its fixpoint (``run_program``) or, given ``rounds``,
+    for at most that many bounded rounds, and the ``R_out`` facts are
+    renamed back onto S.  Returns (the chase, with A's points; terminated).
+    """
+    I = instance_to_input(A.with_points(()), P_sigma)
+    if rounds is None:
+        res = run_program(P_sigma, I)
+    else:
+        res = chase_existential(P_sigma, I, mode="bounded", budget=rounds)
+    out = output_to_instance(res.output, P_sigma.s_aux)
+    return out.with_points(A.points), res.terminated

@@ -20,10 +20,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .adjoint import AdjointError, adjoint
-from .chase import DEFAULT_BUDGET, chase_existential, run_program
+from .adjoint import adjoint
+from .chase import chase_theory
 from .core import (
     Element,
     HomkitError,
@@ -34,15 +34,10 @@ from .core import (
     structure_report,
 )
 from .program import (
-    TGD,
     Atom,
     Program,
-    ProgramError,
     Rule,
-    classify,
-    instance_to_input,
     instance_to_output,
-    output_to_instance,
     restrict_output,
     tgd_compile,
     tgd_schema,
@@ -264,44 +259,24 @@ def frontier_program(F, out_name: str = "Ans") -> Program:
 # ---------------------------------------------------------------------------
 
 
-def theory_program(sigma, schema: Optional[Schema] = None) -> Program:
-    return tgd_compile(list(sigma), schema)
-
-
-def chase_theory(P_sigma: Program, base: Schema, A: Instance,
-                 budget: int = DEFAULT_BUDGET):
-    """Chase a base-schema instance through the dependency program and
-    rename the output back.  Returns (instance with A's points, terminated).
-    """
-    I = instance_to_input(A.with_points(()), P_sigma)
-    res = run_program(P_sigma, I, budget=budget)
-    out = output_to_instance(res.output, base)
-    return out.with_points(A.points), res.terminated
-
-
-def _base_duals(F_spec, provider, method: str, cap: int) -> list:
-    if provider is not None:
-        return list(provider(F_spec))
-    fp = frontier_program(F_spec)
-    return list(dual_from_program(fp, "Ans", method=method, cap=cap).duals)
-
-
-def _theory_duals(sigma, F_spec, provider, adjoint_program, method,
-                  cap, chase_duals: bool, minimize: bool,
-                  budget: int) -> tuple:
-    sigma = tuple(sigma)
+def _theory_duals(sigma, F_spec, adjoint_program, method, cap,
+                  chase_duals: bool) -> tuple:
     base = tgd_schema(sigma)
     for A in F_spec:
         base = base.union(A.schema)
-    P_sigma = theory_program(sigma, base)
+    P_sigma = tgd_compile(sigma, base)
+    if chase_duals and not P_sigma.terminates:
+        raise DualityError("the dependency set admits non-terminating "
+                           "chases; relative duality requires termination")
     Q = adjoint_program if adjoint_program is not None else P_sigma
     if Q.s_in.relations != P_sigma.s_in.relations or \
             Q.s_out.relations != P_sigma.s_out.relations:
         raise DualityError("the adjoint program must share the dependency "
                            "program's input and output schemas")
 
-    raw = _base_duals(F_spec, provider, method, cap)
-    raw = [core_of(d) for d in raw]
+    fp = frontier_program(F_spec)
+    raw = [core_of(d) for d in
+           dual_from_program(fp, "Ans", method=method, cap=cap).duals]
     raw = functools.reduce(_admit_dual,
                            sorted(raw, key=lambda d: d.canonical_key()), [])
 
@@ -321,58 +296,42 @@ def _theory_duals(sigma, F_spec, provider, adjoint_program, method,
             for combo in itertools.product(*pools):
                 cand = renamed.with_points(combo)
                 if chase_duals:
-                    cand, _ = chase_theory(P_sigma, base,
-                                           cand, budget=budget)
+                    cand, _ = chase_theory(P_sigma, cand)
                 cand = fold_reduce(adom_instance(cand))
                 if not cand.domain:
                     cand = Instance(cand.schema, [Element.named("c")],
                                     [], cand.points)
-                if minimize:
-                    cand = core_of(cand)
                 duals = _admit_dual(duals, cand)
     duals.sort(key=lambda d: d.canonical_key())
-    return tuple(duals), P_sigma, base, sigma
+    return tuple(duals), P_sigma
 
 
-def dual_wrt_theory(sigma, F_spec, provider: Optional[Callable] = None,
+def dual_wrt_theory(sigma, F_spec,
                     adjoint_program: Optional[Program] = None,
-                    method: str = "auto", cap: int = 10 ** 6,
-                    minimize: bool = False,
-                    budget: int = DEFAULT_BUDGET) -> Duality:
+                    method: str = "auto", cap: int = 10 ** 6) -> Duality:
     """Duality among the models of a dependency set.
 
     The frontier consists of the chased specification instances; duals are
     adjoint members of the base duals, chased.  Requires the dependency
-    program to have terminating chases on all inputs (checked via the
-    dependency-graph acyclicity test).
+    program to have terminating chases on all inputs (``terminates``).
     """
     sigma = tuple(sigma)
-    probe = theory_program(sigma)
-    if not classify(probe).weakly_acyclic:
-        raise DualityError("the dependency set admits non-terminating "
-                           "chases; relative duality requires termination")
-    duals, P_sigma, base, sigma = _theory_duals(
-        sigma, F_spec, provider, adjoint_program, method, cap,
-        chase_duals=True, minimize=minimize, budget=budget)
-    frontier = tuple(
-        adom_instance(chase_theory(P_sigma, base, A, budget=budget)[0])
-        for A in F_spec
-    )
+    duals, P_sigma = _theory_duals(sigma, F_spec, adjoint_program, method,
+                                   cap, chase_duals=True)
+    frontier = tuple(adom_instance(chase_theory(P_sigma, A)[0])
+                     for A in F_spec)
     return Duality(duals=duals, frontier=frontier, theory=sigma,
                    category="relative")
 
 
-def abox_dual(sigma, F, provider: Optional[Callable] = None,
-              adjoint_program: Optional[Program] = None,
-              method: str = "auto", cap: int = 10 ** 6,
-              minimize: bool = False,
-              budget: int = DEFAULT_BUDGET) -> Duality:
+def abox_dual(sigma, F, adjoint_program: Optional[Program] = None,
+              method: str = "auto", cap: int = 10 ** 6) -> Duality:
     """Duality in the ABox category of a dependency set: duals are adjoint
     members of the base duals, left unchased; morphisms are maps extending
     to homomorphisms of the chases."""
-    duals, _, _, sigma = _theory_duals(
-        tuple(sigma), F, provider, adjoint_program, method, cap,
-        chase_duals=False, minimize=minimize, budget=budget)
+    sigma = tuple(sigma)
+    duals, _ = _theory_duals(sigma, F, adjoint_program, method, cap,
+                             chase_duals=False)
     return Duality(duals=duals, frontier=tuple(F), theory=sigma,
                    category="abox")
 
@@ -411,30 +370,24 @@ def abox_morphism(sigma, A: Instance, B: Instance,
     """
     sigma = tuple(sigma)
     base = tgd_schema(sigma).union(A.schema).union(B.schema)
-    P_sigma = theory_program(sigma, base)
+    P_sigma = tgd_compile(sigma, base)
     h = dict(h or {})
     for src, dst in h.items():
         if src not in A.domain or dst not in B.domain:
             raise DualityError("binding maps outside the given domains")
 
-    wa = classify(P_sigma).weakly_acyclic
-    if wa:
-        chA, _ = chase_theory(P_sigma, base, A)
-        chB, _ = chase_theory(P_sigma, base, B)
-        found = find_homomorphism(adom_instance(chA.union(A)),
-                                  adom_instance(chB.union(B)), bindings=h)
+    def chased(X: Instance, rounds: Optional[int] = None):
+        ch, terminated = chase_theory(P_sigma, X, rounds)
+        return adom_instance(ch.union(X)), terminated
+
+    if P_sigma.terminates:
+        found = find_homomorphism(chased(A)[0], chased(B)[0], bindings=h)
         return "yes" if found is not None else "no"
 
-    def bounded(X: Instance, rounds: int):
-        I = instance_to_input(X.with_points(()), P_sigma)
-        res = chase_existential(P_sigma, I, mode="bounded", budget=rounds)
-        out = output_to_instance(res.output, base)
-        return adom_instance(out.union(X)), res.terminated
-
-    chA_r, termA = bounded(A, budget)
+    chA_r, termA = chased(A, budget)
     # the target is chased deeper than the source so that a source chase
     # extended by one round still fits into it
-    chB_r, termB = bounded(B, 2 * budget + 2)
+    chB_r, termB = chased(B, 2 * budget + 2)
     if termA and termB:
         found = find_homomorphism(chA_r, chB_r, bindings=h)
         return "yes" if found is not None else "no"
@@ -453,7 +406,7 @@ def abox_morphism(sigma, A: Instance, B: Instance,
         # the bounded source chase is contained in the full one, so a full
         # homomorphism would restrict to one here
         return "no"
-    chA_r1, _ = bounded(A, budget + 1)
+    chA_r1, _ = chased(A, budget + 1)
     hom_r1 = find_homomorphism(chA_r1, chB_r, bindings=h)
     if hom_r is not None and hom_r1 is not None:
         return "yes"

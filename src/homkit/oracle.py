@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .chase import DEFAULT_BUDGET, chase_existential, run_program
+from .chase import DEFAULT_BUDGET, chase_theory, run_program
 from .core import (
     Element,
     Fact,
@@ -22,8 +22,11 @@ from .core import (
     find_homomorphism,
     iter_homomorphisms,
 )
-from .duality import abox_morphism, adom_instance, chase_theory, theory_program
-from .program import Program, classify, tgd_schema
+from .duality import abox_morphism, adom_instance
+from .program import Program, tgd_compile
+
+# rounds of the bounded chase behind each ABox morphism check
+MORPH_BUDGET = 10
 
 
 class OracleError(HomkitError):
@@ -78,13 +81,11 @@ def count_instances(schema: Schema, max_domain: int) -> int:
     return total
 
 
-def _is_model(C: Instance, P_sigma: Program, base: Schema,
-              budget: int) -> bool:
+def _is_model(C: Instance, P_sigma: Program) -> bool:
     """Does the chase of C add nothing new, up to homomorphic equivalence
-    fixing the active domain of C?"""
-    chased, terminated = chase_theory(P_sigma, base, C, budget=budget)
-    if not terminated:
-        raise OracleError("model filter needs a terminating chase")
+    fixing the active domain of C?  ``P_sigma`` terminates."""
+    chased, _ = chase_theory(P_sigma, C)
+    base = P_sigma.s_aux
     keep = set(chased.active_domain) | set(C.active_domain)
     chased = Instance(base, keep, chased.facts)
     fixed = sorted(set(C.active_domain))
@@ -93,8 +94,7 @@ def _is_model(C: Instance, P_sigma: Program, base: Schema,
 
 
 def enumerate_instances(schema: Schema, max_domain: int,
-                        filter_sigma=None,
-                        budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
+                        filter_sigma=None) -> Iterator[Instance]:
     """All instances over domains {e1..em}, m <= max_domain, all fact
     subsets, ordered by domain size, then fact count, then canonical fact
     order.  ``filter_sigma`` keeps only instances the dependency chase
@@ -105,10 +105,9 @@ def enumerate_instances(schema: Schema, max_domain: int,
         raise OracleError("max_domain must be >= 0")
     P_sigma = base = None
     if filter_sigma is not None:
-        sigma = tuple(filter_sigma)
-        base = tgd_schema(sigma).union(schema)
-        P_sigma = theory_program(sigma, base)
-        if not classify(P_sigma).weakly_acyclic:
+        P_sigma = tgd_compile(tuple(filter_sigma), schema)
+        base = P_sigma.s_aux
+        if not P_sigma.terminates:
             raise OracleError("instance filter requires a dependency set "
                               "with terminating chases")
     for m in range(max_domain + 1):
@@ -121,22 +120,9 @@ def enumerate_instances(schema: Schema, max_domain: int,
                 C = Instance(schema, elems, facts)
                 if P_sigma is not None and not _is_model(
                         C.with_schema(base) if base != schema else C,
-                        P_sigma, base, budget):
+                        P_sigma):
                     continue
                 yield C
-
-
-def enumerate_pointed(schema: Schema, max_domain: int, k: int,
-                      filter_sigma=None,
-                      budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
-    """Pointed variant: every instance with every k-tuple over its domain."""
-    for C in enumerate_instances(schema, max_domain, filter_sigma,
-                                 budget=budget):
-        if k == 0:
-            yield C
-            continue
-        for pts in itertools.product(C.sorted_domain(), repeat=k):
-            yield C.with_points(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +130,13 @@ def enumerate_pointed(schema: Schema, max_domain: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _frontier_hit(F, C: Instance, sigma, category: str,
-                  morph_budget: int) -> Optional[bool]:
+def _frontier_hit(F, C: Instance, sigma, category: str) -> Optional[bool]:
     """Is (C, c) in the upward closure of an explicit frontier?  None =
     unknown."""
     if category == "abox":
         for A in F:
             h = dict(zip(A.points, C.points))
-            ans = abox_morphism(sigma, A, C, h, budget=morph_budget)
+            ans = abox_morphism(sigma, A, C, h, budget=MORPH_BUDGET)
             if ans == "yes":
                 return True
             if ans == "unknown":
@@ -161,15 +146,14 @@ def _frontier_hit(F, C: Instance, sigma, category: str,
     return any(find_homomorphism(A, C_adom) is not None for A in F)
 
 
-def _dual_hit(D, C: Instance, sigma, category: str,
-              morph_budget: int) -> Optional[bool]:
+def _dual_hit(D, C: Instance, sigma, category: str) -> Optional[bool]:
     if category != "abox":
         C_adom = adom_instance(C)
         return any(find_homomorphism(C_adom, d) is not None for d in D)
     unknown = False
     for d in D:
         h = dict(zip(C.points, d.points))
-        ans = abox_morphism(sigma, C, d, h, budget=morph_budget)
+        ans = abox_morphism(sigma, C, d, h, budget=MORPH_BUDGET)
         if ans == "yes":
             return True
         if ans == "unknown":
@@ -179,8 +163,7 @@ def _dual_hit(D, C: Instance, sigma, category: str,
 
 def verify_duality(F, D, B: int = 3, sigma=None,
                    category: Optional[str] = None,
-                   budget: int = DEFAULT_BUDGET,
-                   morph_budget: int = 10) -> Verdict:
+                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check the duality statement exhaustively at bound B.
 
     For every pointed (C, c) with at most B elements (dependency models
@@ -207,8 +190,7 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         schema = probe.schema
         k = len(probe.points)
     filt = sigma if (sigma is not None and category == "relative") else None
-    for C in enumerate_instances(schema, B, filter_sigma=filt,
-                                 budget=budget):
+    for C in enumerate_instances(schema, B, filter_sigma=filt):
         if k and not C.domain:
             continue  # no point tuples
         if generator:
@@ -218,8 +200,8 @@ def verify_duality(F, D, B: int = 3, sigma=None,
             if generator:
                 fin = (F[1], pts) in derived
             else:
-                fin = _frontier_hit(F, Cp, sigma, category, morph_budget)
-            din = _dual_hit(duals, Cp, sigma, category, morph_budget)
+                fin = _frontier_hit(F, Cp, sigma, category)
+            din = _dual_hit(duals, Cp, sigma, category)
             if fin is None or din is None:
                 return Verdict(False, B, Cp, unknown=True,
                                explanation="unknown: bounded chase could "
@@ -238,18 +220,10 @@ def verify_duality(F, D, B: int = 3, sigma=None,
 # ---------------------------------------------------------------------------
 
 
-def _chase_terminates(P: Program) -> bool:
-    return P.is_datalog or classify(P).weakly_acyclic
-
-
-def _program_output(P: Program, I: Instance, budget: int, terminates: bool):
-    """(output instance restricted to its active domain, stable?);
-    ``terminates`` is ``_chase_terminates(P)``."""
-    if terminates:
-        res = run_program(P, I, budget=budget)
-    else:
-        res = chase_existential(P, I, mode="bounded", budget=budget)
-    return adom_instance(res.output), terminates or res.terminated
+def _program_output(P: Program, I: Instance, budget: int):
+    """(output instance restricted to its active domain, stable?)"""
+    res = run_program(P, I, budget=budget)
+    return adom_instance(res.output), res.terminated
 
 
 def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
@@ -264,12 +238,11 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
     otherwise the verdict is unknown.
     """
     members = list(result.members)
-    terminates = _chase_terminates(P)
     for I in enumerate_instances(P.s_in, B):
-        out, stable = _program_output(P, I, budget, terminates)
+        out, stable = _program_output(P, I, budget)
         lhs = find_homomorphism(out, J) is not None
         if not stable:
-            out1, _ = _program_output(P, I, budget + 1, terminates)
+            out1, _ = _program_output(P, I, budget + 1)
             lhs1 = find_homomorphism(out1, J) is not None
             if lhs != lhs1:
                 return Verdict(False, B, I, unknown=True,
@@ -323,13 +296,12 @@ def programs_equivalent_bounded(P1: Program, P2: Program, B: int = 3,
     if P1.s_in.relations != P2.s_in.relations or \
             P1.s_out.relations != P2.s_out.relations:
         raise OracleError("programs have different input or output schemas")
-    programs = [(P, _chase_terminates(P)) for P in (P1, P2)]
     for I in enumerate_instances(P1.s_in, B):
         outs = []
-        for P, terminates in programs:
-            out, stable = _program_output(P, I, budget, terminates)
+        for P in (P1, P2):
+            out, stable = _program_output(P, I, budget)
             if not stable:
-                out1, _ = _program_output(P, I, budget + 1, terminates)
+                out1, _ = _program_output(P, I, budget + 1)
                 stable = out.canonical_key() == out1.canonical_key()
             if not stable:
                 return Verdict(False, B, I, unknown=True,

@@ -7,7 +7,7 @@ graph-functor compilation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
@@ -15,7 +15,6 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
-    SchemaMismatch,
     isomorphic,
     structure_report,
 )
@@ -82,7 +81,8 @@ class Program:
     argument positions.
     """
 
-    __slots__ = ("s_in", "s_out", "s_aux", "rules", "articulation")
+    __slots__ = ("s_in", "s_out", "s_aux", "rules", "articulation",
+                 "_terminates")
 
     def __init__(self, s_in: Schema, s_out: Schema, s_aux: Schema,
                  rules: Iterable[Rule], articulation: Optional[dict] = None):
@@ -91,6 +91,7 @@ class Program:
         self.s_aux = s_aux
         self.rules = tuple(rules)
         self.articulation = dict(articulation or {})
+        self._terminates: Optional[bool] = None
         self._validate()
 
     def _validate(self):
@@ -137,6 +138,14 @@ class Program:
     @property
     def is_datalog(self) -> bool:
         return all(r.is_datalog for r in self.rules)
+
+    @property
+    def terminates(self) -> bool:
+        """Does the chase reach a fixpoint on every input?  True for Datalog
+        and weakly acyclic programs; decided on first use, then cached."""
+        if self._terminates is None:
+            self._terminates = self.is_datalog or _weakly_acyclic(self)
+        return self._terminates
 
     def full_schema(self) -> Schema:
         return self.s_in.union(self.s_out).union(self.s_aux)
@@ -1042,10 +1051,9 @@ def tgd_compile(tgds: list[TGD],
     """Compile a dependency set over schema S into a program with input
     copies R_in, output copies R_out, aux S, the dependency rules, and the
     copy rules R(x) :- R_in(x) and R_out(x) :- R(x)."""
-    base = schema if schema is not None else tgd_schema(tgds)
+    base = tgd_schema(tgds)
     if schema is not None:
-        tgd_schema(tgds)  # arity consistency check
-        base = schema.union(tgd_schema(tgds))
+        base = schema.union(base)
     names = set(base.names)
     for rel in base.names:
         if f"{rel}_in" in names or f"{rel}_out" in names:

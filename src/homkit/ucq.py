@@ -9,26 +9,13 @@ category where examples are incomplete databases evaluated via the chase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .chase import (
-    DEFAULT_BUDGET,
-    _join,
-    _Store,
-    chase_existential,
-    run_program,
-)
+from .chase import _join, _Store, chase_theory
 from .core import Element, HomkitError, Instance, Schema, structure_report
-from .duality import (
-    abox_dual,
-    adom_instance,
-    chase_theory,
-    dual_wrt_theory,
-    theory_program,
-)
-from .program import Atom, classify, instance_to_input, output_to_instance, \
-    tgd_schema
+from .duality import abox_dual, dual_wrt_theory
+from .program import Atom, tgd_compile, tgd_schema
 
 
 class QueryError(HomkitError):
@@ -152,29 +139,28 @@ def _spec_instances(q: UCQ, sigma) -> list:
     return canonical_instances(q, base)
 
 
-def characterize(q: UCQ, sigma, provider=None, adjoint_program=None,
+def characterize(q: UCQ, sigma, adjoint_program=None,
                  method: str = "auto", cap: int = 10 ** 6) -> ExampleSet:
     """Uniquely characterizing examples among models of the dependency set:
     positives are the chased canonical instances, negatives their duals
     relative to the theory."""
     sigma = tuple(sigma)
     F_spec = _spec_instances(q, sigma)
-    d = dual_wrt_theory(sigma, F_spec, provider=provider,
-                        adjoint_program=adjoint_program, method=method,
-                        cap=cap)
+    d = dual_wrt_theory(sigma, F_spec, adjoint_program=adjoint_program,
+                        method=method, cap=cap)
     return ExampleSet(positives=d.frontier, negatives=d.duals,
                       mode="model", theory=sigma)
 
 
-def characterize_abox(q: UCQ, sigma, provider=None, adjoint_program=None,
+def characterize_abox(q: UCQ, sigma, adjoint_program=None,
                       method: str = "auto",
                       cap: int = 10 ** 6) -> ExampleSet:
     """ABox-mode characterization: positives are the raw canonical
     instances; negatives come from the unchased ABox duals."""
     sigma = tuple(sigma)
     F_spec = _spec_instances(q, sigma)
-    d = abox_dual(sigma, F_spec, provider=provider,
-                  adjoint_program=adjoint_program, method=method, cap=cap)
+    d = abox_dual(sigma, F_spec, adjoint_program=adjoint_program,
+                  method=method, cap=cap)
     return ExampleSet(positives=tuple(F_spec), negatives=d.duals,
                       mode="abox", theory=sigma)
 
@@ -192,22 +178,15 @@ def _abox_answers(q: UCQ, A: Instance, sigma, start_depth: int = 8,
     depth is doubled until the answer set is stable for two consecutive
     depths.  Hitting the hard cap is an error, never a silent answer.
     """
-    base = tgd_schema(tuple(sigma)).union(A.schema)
-    P_sigma = theory_program(tuple(sigma), base)
+    sigma = tuple(sigma)
+    P_sigma = tgd_compile(sigma, A.schema)
+    dom = set(A.domain)
 
     def answers_at(depth: Optional[int]) -> set:
-        I = instance_to_input(A.with_points(()), P_sigma)
-        if depth is None:
-            res = run_program(P_sigma, I)
-        else:
-            res = chase_existential(P_sigma, I, mode="bounded",
-                                    budget=depth)
-        out = output_to_instance(res.output, base)
-        full = evaluate(q, out)
-        dom = set(A.domain)
-        return {t for t in full if all(e in dom for e in t)}
+        out, _ = chase_theory(P_sigma, A, depth)
+        return {t for t in evaluate(q, out) if all(e in dom for e in t)}
 
-    if classify(P_sigma).weakly_acyclic:
+    if P_sigma.terminates:
         return answers_at(None)
     depth = start_depth
     prev = answers_at(depth)
@@ -248,8 +227,7 @@ def fits(q: UCQ, ex: ExampleSet, hard_cap: int = 256) -> bool:
     return True
 
 
-def verify_characterization(q: UCQ, ex: ExampleSet, B: int = 3,
-                            budget: int = DEFAULT_BUDGET):
+def verify_characterization(q: UCQ, ex: ExampleSet, B: int = 3):
     """Fitting plus the bounded duality check: a pass certifies that any
     UCQ fitting the examples agrees with q on instances of at most B
     elements."""
@@ -266,4 +244,4 @@ def verify_characterization(q: UCQ, ex: ExampleSet, B: int = 3,
         "relative" if ex.theory else "plain")
     sigma = tuple(ex.theory) if ex.theory else None
     return verify_duality(ex.positives, ex.negatives, B, sigma=sigma,
-                          category=category, budget=budget)
+                          category=category)

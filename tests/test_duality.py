@@ -138,3 +138,27 @@ def test_abox_morphism_identity_nonterminating():
     sigma = sigma2("E")
     A = digraph([("a", "b")])
     assert abox_morphism(sigma, A, A) == "yes"
+
+
+def test_abox_morphism_keeps_isolated_points():
+    # a non-terminating theory takes the bounded branch, which must keep
+    # the points through the active-domain restriction of each chase
+    sigma = sigma2("E")
+    A = digraph([], extra=("e",), points=("e",))
+    B = digraph([("x", "x")], points=("x",))
+    e, x = A.points[0], B.points[0]
+    assert abox_morphism(sigma, A, B, h={e: x}) == "yes"
+    assert abox_morphism(sigma, B, A, h={x: e}) == "no"
+
+
+def test_pointed_abox_duality_gives_a_counterexample():
+    # homkit verify duality --frontier pedge --dual ploop --category abox
+    sigma = sigma2("E")
+    pedge = digraph([("a", "b")], points=("a",))
+    ploop = digraph([("x", "x")], points=("x",))
+    v = verify_duality([pedge], [ploop], 2, sigma=sigma, category="abox")
+    assert not v.passed and not v.unknown
+    assert v.explanation == "instance is in both the frontier's and the " \
+        "duals' closure"
+    assert repr(v.counterexample) == repr(
+        digraph([("e1", "e1")], points=("e1",)))

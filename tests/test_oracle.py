@@ -10,7 +10,6 @@ from homkit.oracle import (
     Verdict,
     count_instances,
     enumerate_instances,
-    enumerate_pointed,
     iter_homomorphisms,
     programs_equivalent_bounded,
     verify_duality,
@@ -36,12 +35,6 @@ def test_enumerate_ordered_smallest_first():
     seq = list(enumerate_instances(E, 2))
     sizes = [(len(I.domain), len(I.facts)) for I in seq]
     assert sizes == sorted(sizes)
-
-
-def test_enumerate_pointed_counts():
-    seq = list(enumerate_pointed(E, 1, k=1))
-    # empty instance has no pointed variants; one element gives 2 * 1
-    assert len(seq) == 2
 
 
 def test_verdict_invariant():

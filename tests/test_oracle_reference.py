@@ -38,8 +38,7 @@ def enumerate_pointed(schema: Schema, max_domain: int, k: int,
                       filter_sigma=None,
                       budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
     """Pointed variant: every instance with every k-tuple over its domain."""
-    for C in enumerate_instances(schema, max_domain, filter_sigma,
-                                 budget=budget):
+    for C in enumerate_instances(schema, max_domain, filter_sigma):
         if k == 0:
             yield C
             continue

@@ -120,6 +120,16 @@ def test_characterize_abox_mode():
     assert v.passed, v.explanation
 
 
+def test_characterize_abox_unary_query():
+    # pointed examples under a non-terminating theory: the ABox check
+    # meets pointed instances whose point is an isolated element
+    q = UCQ("q", 1, (CQ(("x",), (Atom("E", ("x", "y")),)),))
+    ex = characterize_abox(q, sigma2("E"))
+    assert fits(q, ex)
+    v = verify_characterization(q, ex, B=2)
+    assert v.passed, v.explanation
+
+
 def test_characterize_empty_theory():
     q = UCQ("e", 0, (CQ((), (Atom("E", ("x", "y")),)),))
     ex = characterize(q, ())
