@@ -280,8 +280,10 @@ class Instance:
         return f"Instance(|dom|={len(self.domain)} {facts}{pts})"
 
 
-def empty_instance(schema: Schema) -> Instance:
-    return Instance(schema, (), ())
+def adom_instance(I: Instance) -> Instance:
+    """Restrict the explicit domain to the active domain plus points."""
+    keep = set(I.active_domain) | set(I.points)
+    return Instance(I.schema, keep, I.facts, I.points)
 
 
 # ---------------------------------------------------------------------------

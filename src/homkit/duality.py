@@ -29,6 +29,7 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
+    adom_instance,
     core_of,
     find_homomorphism,
     structure_report,
@@ -54,22 +55,13 @@ class Duality:
 
     ``frontier`` is a tuple of pointed instances when finite; for infinite
     frontiers ``generator`` holds a (program, relation) pair whose
-    derivations generate the frontier.  ``verified`` is set by the
-    brute-force checker, never by the constructions themselves.
+    derivations generate the frontier.
     """
 
     duals: tuple
     frontier: tuple = ()
     generator: Optional[tuple] = None  # (Program, relation name)
-    theory: Optional[tuple] = None  # tuple[TGD, ...]
     category: str = "plain"
-    verified: Optional[object] = None
-
-
-def adom_instance(I: Instance) -> Instance:
-    """Restrict the explicit domain to the active domain plus points."""
-    keep = set(I.active_domain) | set(I.points)
-    return Instance(I.schema, keep, I.facts, I.points)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +81,7 @@ def _set_partitions(items: list):
         yield [[head]] + part
 
 
-def dual_from_program(P: Program, R: str, method: str = "auto",
-                      cap: int = 10 ** 6) -> Duality:
+def dual_from_program(P: Program, R: str, cap: int = 10 ** 6) -> Duality:
     """Duals for the derivation frontier of (P, R).
 
     For each equality pattern of the k answer positions, builds the
@@ -120,7 +111,7 @@ def dual_from_program(P: Program, R: str, method: str = "auto",
             if combo != forbidden
         ]
         J = Instance(P0.s_out, domain, facts)
-        result = adjoint(P0, J, method=method, cap=cap)
+        result = adjoint(P0, J, cap=cap)
         blocks = sorted(partition, key=min)
         for j_prime, iota in result.members:
             pools = [
@@ -214,7 +205,7 @@ def _admit_dual(kept: list, cand: Instance) -> list:
 # ---------------------------------------------------------------------------
 
 
-def frontier_program(F, out_name: str = "Ans") -> Program:
+def frontier_program(F) -> Program:
     """A non-recursive program whose depth-1 unfoldings are exactly F.
 
     Every member must be acyclic (instances that are c-acyclic but contain a
@@ -246,12 +237,12 @@ def frontier_program(F, out_name: str = "Ans") -> Program:
             Atom(rel, tuple(names[e] for e in args))
             for rel, args in A.sorted_facts()
         )
-        head = Atom(out_name, tuple(names[e] for e in A.points))
+        head = Atom("Ans", tuple(names[e] for e in A.points))
         rules.append(Rule((head,), body))
-    if out_name in schema:
-        raise DualityError(f"output name {out_name} collides with the "
-                           "frontier schema")
-    return Program(schema, Schema([(out_name, k)]), Schema([]), rules)
+    if "Ans" in schema:
+        raise DualityError("output name Ans collides with the frontier "
+                           "schema")
+    return Program(schema, Schema([("Ans", k)]), Schema([]), rules)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +250,9 @@ def frontier_program(F, out_name: str = "Ans") -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _theory_duals(sigma, F_spec, adjoint_program, method, cap,
+def _theory_duals(sigma, F_spec, adjoint_program, cap,
                   chase_duals: bool) -> tuple:
+    sigma = tuple(sigma)
     base = tgd_schema(sigma)
     for A in F_spec:
         base = base.union(A.schema)
@@ -276,7 +268,7 @@ def _theory_duals(sigma, F_spec, adjoint_program, method, cap,
 
     fp = frontier_program(F_spec)
     raw = [core_of(d) for d in
-           dual_from_program(fp, "Ans", method=method, cap=cap).duals]
+           dual_from_program(fp, "Ans", cap=cap).duals]
     raw = functools.reduce(_admit_dual,
                            sorted(raw, key=lambda d: d.canonical_key()), [])
 
@@ -285,7 +277,7 @@ def _theory_duals(sigma, F_spec, adjoint_program, method, cap,
     for B in raw:
         b_points = B.points
         J = instance_to_output(B.with_points(()), Q)
-        result = adjoint(Q, J, method=method, cap=cap)
+        result = adjoint(Q, J, cap=cap)
         for j_prime, iota in result.members:
             renamed = j_prime.rename_relations(unrename)
             renamed = Instance(base, renamed.domain, renamed.facts)
@@ -308,106 +300,25 @@ def _theory_duals(sigma, F_spec, adjoint_program, method, cap,
 
 def dual_wrt_theory(sigma, F_spec,
                     adjoint_program: Optional[Program] = None,
-                    method: str = "auto", cap: int = 10 ** 6) -> Duality:
+                    cap: int = 10 ** 6) -> Duality:
     """Duality among the models of a dependency set.
 
     The frontier consists of the chased specification instances; duals are
     adjoint members of the base duals, chased.  Requires the dependency
     program to have terminating chases on all inputs (``terminates``).
     """
-    sigma = tuple(sigma)
-    duals, P_sigma = _theory_duals(sigma, F_spec, adjoint_program, method,
-                                   cap, chase_duals=True)
+    duals, P_sigma = _theory_duals(sigma, F_spec, adjoint_program, cap,
+                                   chase_duals=True)
     frontier = tuple(adom_instance(chase_theory(P_sigma, A)[0])
                      for A in F_spec)
-    return Duality(duals=duals, frontier=frontier, theory=sigma,
-                   category="relative")
+    return Duality(duals=duals, frontier=frontier, category="relative")
 
 
 def abox_dual(sigma, F, adjoint_program: Optional[Program] = None,
-              method: str = "auto", cap: int = 10 ** 6) -> Duality:
+              cap: int = 10 ** 6) -> Duality:
     """Duality in the ABox category of a dependency set: duals are adjoint
     members of the base duals, left unchased; morphisms are maps extending
     to homomorphisms of the chases."""
-    sigma = tuple(sigma)
-    duals, _ = _theory_duals(sigma, F, adjoint_program, method, cap,
+    duals, _ = _theory_duals(sigma, F, adjoint_program, cap,
                              chase_duals=False)
-    return Duality(duals=duals, frontier=tuple(F), theory=sigma,
-                   category="abox")
-
-
-# ---------------------------------------------------------------------------
-# ABox morphisms
-# ---------------------------------------------------------------------------
-
-
-def _relation_closure(P: Program, seeds: set[str]) -> set[str]:
-    """Relations that can ever hold in a chase whose input relations with
-    facts are ``seeds``."""
-    reachable = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for rule in P.rules:
-            if all(a.rel in reachable for a in rule.body_atoms):
-                for a in rule.head_atoms:
-                    if a.rel not in reachable:
-                        reachable.add(a.rel)
-                        changed = True
-    return reachable
-
-
-def abox_morphism(sigma, A: Instance, B: Instance,
-                  h: Optional[dict] = None,
-                  budget: int = 24) -> str:
-    """Decide whether a map extending ``h`` exists from A to B that extends
-    to a homomorphism of the chases.  Returns "yes", "no", or "unknown".
-
-    Exact when both chases terminate.  Otherwise: "no" on a
-    relation-reachability certificate, "yes" when a homomorphism between
-    the bounded chases exists and survives one more chase round on the
-    source, "unknown" otherwise.
-    """
-    sigma = tuple(sigma)
-    base = tgd_schema(sigma).union(A.schema).union(B.schema)
-    P_sigma = tgd_compile(sigma, base)
-    h = dict(h or {})
-    for src, dst in h.items():
-        if src not in A.domain or dst not in B.domain:
-            raise DualityError("binding maps outside the given domains")
-
-    def chased(X: Instance, rounds: Optional[int] = None):
-        ch, terminated = chase_theory(P_sigma, X, rounds)
-        return adom_instance(ch.union(X)), terminated
-
-    if P_sigma.terminates:
-        found = find_homomorphism(chased(A)[0], chased(B)[0], bindings=h)
-        return "yes" if found is not None else "no"
-
-    chA_r, termA = chased(A, budget)
-    # the target is chased deeper than the source so that a source chase
-    # extended by one round still fits into it
-    chB_r, termB = chased(B, 2 * budget + 2)
-    if termA and termB:
-        found = find_homomorphism(chA_r, chB_r, bindings=h)
-        return "yes" if found is not None else "no"
-
-    # certificate: a relation holding in A's chase that can never hold in B's
-    seedsB = {f"{r}_in" for r, _ in base.relations
-              if any(f[0] == r for f in B.facts)}
-    reachB = _relation_closure(P_sigma, seedsB)
-    reachB_base = {r[:-4] for r in reachB if r.endswith("_out")}
-    for rel, _ in chA_r.facts:
-        if rel not in reachB_base:
-            return "no"
-
-    hom_r = find_homomorphism(chA_r, chB_r, bindings=h)
-    if termB and hom_r is None:
-        # the bounded source chase is contained in the full one, so a full
-        # homomorphism would restrict to one here
-        return "no"
-    chA_r1, _ = chased(A, budget + 1)
-    hom_r1 = find_homomorphism(chA_r1, chB_r, bindings=h)
-    if hom_r is not None and hom_r1 is not None:
-        return "yes"
-    return "unknown"
+    return Duality(duals=duals, frontier=tuple(F), category="abox")

@@ -4,6 +4,11 @@ Exhaustive small-instance enumeration plus checkers for homomorphism
 dualities, generalized right-adjoints, and bounded program equivalence.
 Everything here is deliberately independent of the constructions it checks:
 it only uses the chase and plain homomorphism search.
+
+In the ABox category of a dependency set, a morphism A -> B is a map that
+extends to a homomorphism of the chases; by universality of the chase that
+holds exactly when A maps into the chase of B, so one homomorphism search
+into B's chase decides it (Fagin, Kolaitis, Miller and Popa, TCS 2005).
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
+    adom_instance,
     find_homomorphism,
     iter_homomorphisms,
 )
-from .duality import abox_morphism, adom_instance
 from .program import Program, tgd_compile
 
-# rounds of the bounded chase behind each ABox morphism check
-MORPH_BUDGET = 10
+# rounds of the chase behind an ABox morphism check when the dependency set
+# admits non-terminating chases
+ABOX_ROUNDS = 22
 
 
 class OracleError(HomkitError):
@@ -126,38 +132,106 @@ def enumerate_instances(schema: Schema, max_domain: int,
 
 
 # ---------------------------------------------------------------------------
+# ABox morphisms
+# ---------------------------------------------------------------------------
+
+
+def _relation_closure(P: Program, seeds: set[str]) -> set[str]:
+    """Relations that can ever hold in a chase whose input relations with
+    facts are ``seeds``."""
+    reachable = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for rule in P.rules:
+            if all(a.rel in reachable for a in rule.body_atoms):
+                for a in rule.head_atoms:
+                    if a.rel not in reachable:
+                        reachable.add(a.rel)
+                        changed = True
+    return reachable
+
+
+def _abox_chase(P_sigma: Program, X: Instance) -> tuple[Instance, bool]:
+    """X's chase through a compiled dependency set, with X's whole domain
+    and points: to the fixpoint when the chase terminates, otherwise for
+    ``ABOX_ROUNDS`` rounds.  Returns (chase, terminated)."""
+    return chase_theory(P_sigma, X,
+                        None if P_sigma.terminates else ABOX_ROUNDS)
+
+
+def _abox_decide(P_sigma: Program, A: Instance, A_chase, B: Instance,
+                 B_chase, h: dict) -> str:
+    """Is there an ABox morphism A -> B extending h?  ``A_chase`` and
+    ``B_chase`` come from ``_abox_chase``; a ``None`` ``A_chase`` is
+    computed here, only when the answer needs it.
+
+    "yes" when A maps into B's chase, a prefix of the full one; "no" when
+    B's chase terminated, or when A's chase holds a relation that no chase
+    of B can ever derive; "unknown" otherwise.
+    """
+    source = adom_instance(A)
+    if source.schema != P_sigma.s_aux:
+        source = source.with_schema(P_sigma.s_aux)
+    target, terminated = B_chase
+    if find_homomorphism(source, target, bindings=h) is not None:
+        return "yes"
+    if terminated:
+        return "no"
+    reach = _relation_closure(P_sigma, {f"{rel}_in" for rel, _ in B.facts})
+    if A_chase is None:
+        A_chase = _abox_chase(P_sigma, A)
+    if any(f"{rel}_out" not in reach for rel, _ in A_chase[0].facts):
+        return "no"
+    return "unknown"
+
+
+def abox_morphism(sigma, A: Instance, B: Instance,
+                  h: Optional[dict] = None) -> str:
+    """Decide whether a map extending ``h`` exists from A to B that extends
+    to a homomorphism of the chases: "yes", "no" or "unknown", exact when
+    the dependency set's chases terminate (see ``_abox_decide``)."""
+    h = dict(h or {})
+    for src, dst in h.items():
+        if src not in A.domain or dst not in B.domain:
+            raise OracleError("binding maps outside the given domains")
+    P_sigma = tgd_compile(tuple(sigma), A.schema.union(B.schema))
+    return _abox_decide(P_sigma, A, None, B, _abox_chase(P_sigma, B), h)
+
+
+# ---------------------------------------------------------------------------
 # Duality verification
 # ---------------------------------------------------------------------------
 
 
-def _frontier_hit(F, C: Instance, sigma, category: str) -> Optional[bool]:
+def _frontier_hit(F, C: Instance, abox=None) -> Optional[bool]:
     """Is (C, c) in the upward closure of an explicit frontier?  None =
-    unknown."""
-    if category == "abox":
-        for A in F:
-            h = dict(zip(A.points, C.points))
-            ans = abox_morphism(sigma, A, C, h, budget=MORPH_BUDGET)
-            if ans == "yes":
-                return True
-            if ans == "unknown":
-                return None
-        return False
-    C_adom = adom_instance(C)
-    return any(find_homomorphism(A, C_adom) is not None for A in F)
+    unknown.  In the ABox category ``abox`` is (P_sigma, the members'
+    chases, C's chase)."""
+    if abox is None:
+        C_adom = adom_instance(C)
+        return any(find_homomorphism(A, C_adom) is not None for A in F)
+    P_sigma, F_chases, C_chase = abox
+    for A, A_chase in zip(F, F_chases):
+        ans = _abox_decide(P_sigma, A, A_chase, C, C_chase,
+                           dict(zip(A.points, C.points)))
+        if ans != "no":
+            return True if ans == "yes" else None
+    return False
 
 
-def _dual_hit(D, C: Instance, sigma, category: str) -> Optional[bool]:
-    if category != "abox":
+def _dual_hit(D, C: Instance, abox=None) -> Optional[bool]:
+    if abox is None:
         C_adom = adom_instance(C)
         return any(find_homomorphism(C_adom, d) is not None for d in D)
+    P_sigma, D_chases, C_chase = abox
     unknown = False
-    for d in D:
-        h = dict(zip(C.points, d.points))
-        ans = abox_morphism(sigma, C, d, h, budget=MORPH_BUDGET)
+    for d, d_chase in zip(D, D_chases):
+        ans = _abox_decide(P_sigma, C, C_chase, d, d_chase,
+                           dict(zip(C.points, d.points)))
         if ans == "yes":
             return True
-        if ans == "unknown":
-            unknown = True
+        unknown = unknown or ans == "unknown"
     return None if unknown else False
 
 
@@ -172,7 +246,9 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     dual" must hold.  ``F`` is a set of pointed instances or a
     (program, relation[, depth]) generator; generator membership is decided
     by chase derivation of R(c), with one chase per unpointed instance
-    shared by all its point tuples.
+    shared by all its point tuples.  In the ABox category every frontier
+    member, dual and unpointed instance is chased once, and each chase
+    serves as a morphism target and as a certificate source.
     """
     duals = list(D)
     if category is None:
@@ -190,18 +266,27 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         schema = probe.schema
         k = len(probe.points)
     filt = sigma if (sigma is not None and category == "relative") else None
+    F_abox = D_abox = None
+    if category == "abox":
+        P_sigma = tgd_compile(tuple(sigma), schema)
+        F_chases = [] if generator else [_abox_chase(P_sigma, A) for A in F]
+        D_chases = [_abox_chase(P_sigma, d) for d in duals]
     for C in enumerate_instances(schema, B, filter_sigma=filt):
         if k and not C.domain:
             continue  # no point tuples
         if generator:
             derived = run_program(F[0], C, budget=budget).output.facts
+        if category == "abox":
+            C_chase = _abox_chase(P_sigma, C)
+            F_abox = (P_sigma, F_chases, C_chase)
+            D_abox = (P_sigma, D_chases, C_chase)
         for pts in itertools.product(C.sorted_domain(), repeat=k):
             Cp = C.with_points(pts) if k else C
             if generator:
                 fin = (F[1], pts) in derived
             else:
-                fin = _frontier_hit(F, Cp, sigma, category)
-            din = _dual_hit(duals, Cp, sigma, category)
+                fin = _frontier_hit(F, Cp, F_abox)
+            din = _dual_hit(duals, Cp, D_abox)
             if fin is None or din is None:
                 return Verdict(False, B, Cp, unknown=True,
                                explanation="unknown: bounded chase could "
@@ -233,15 +318,17 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
     For every input instance I with at most B elements: P(I) maps into J
     iff I maps into some member; and when both hold, some witness pair of
     homomorphisms commutes through the member's partial back-map.  For
-    programs with non-terminating chases the left side uses a bounded chase
-    and is accepted only when one more round does not change the answer;
+    programs with non-terminating chases the left side uses a bounded chase;
+    a "yes" is accepted only when one more round does not change it,
     otherwise the verdict is unknown.
     """
     members = list(result.members)
     for I in enumerate_instances(P.s_in, B):
         out, stable = _program_output(P, I, budget)
         lhs = find_homomorphism(out, J) is not None
-        if not stable:
+        if lhs and not stable:
+            # a prefix that does not map into J is a certain "no": the
+            # output only grows
             out1, _ = _program_output(P, I, budget + 1)
             lhs1 = find_homomorphism(out1, J) is not None
             if lhs != lhs1:

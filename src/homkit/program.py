@@ -581,7 +581,7 @@ def _split_rule(rule: Rule, in_names: set[str]):
     return options
 
 
-def to_simple_tam(P: Program, repair: bool = True) -> Program:
+def to_simple_tam(P: Program) -> Program:
     """Equivalent simple program: exactly one input atom per rule body.
 
     Phase 1 splits rules with two or more input atoms using a fresh aux
@@ -667,39 +667,37 @@ def to_simple_tam(P: Program, repair: bool = True) -> Program:
         queue.append(rule2)
 
     # phase 2: no input-free bodies
-    if repair:
-        expanded = []
-        positions = [
-            (rel, i) for rel, arity in P.s_in.relations
-            for i in range(1, arity + 1)
-        ]
-        for rule in rules:
-            n_inputs = sum(1 for a in rule.body_atoms if a.rel in in_names)
-            if n_inputs >= 1 or not positions:
-                expanded.append(rule)
-                continue
-            anchor = None
-            for atom in rule.body_atoms:
-                pos = art.get(atom.rel)
-                if pos is not None:
-                    anchor = atom.args[pos - 1]
-                    break
-            if anchor is None:
-                expanded.append(rule)
-                continue
-            local = set(rule.all_vars())
-            for rel, pos in positions:
-                args = []
-                inner = set(local)
-                for i in range(1, P.s_in.arity(rel) + 1):
-                    args.append(anchor if i == pos
-                                else _fresh_var("w", inner))
-                expanded.append(Rule(
-                    rule.head_atoms,
-                    rule.body_atoms + (Atom(rel, tuple(args)),),
-                    rule.existentials,
-                ))
-        rules = expanded
+    expanded = []
+    positions = [
+        (rel, i) for rel, arity in P.s_in.relations
+        for i in range(1, arity + 1)
+    ]
+    for rule in rules:
+        n_inputs = sum(1 for a in rule.body_atoms if a.rel in in_names)
+        if n_inputs >= 1 or not positions:
+            expanded.append(rule)
+            continue
+        anchor = None
+        for atom in rule.body_atoms:
+            pos = art.get(atom.rel)
+            if pos is not None:
+                anchor = atom.args[pos - 1]
+                break
+        if anchor is None:
+            expanded.append(rule)
+            continue
+        local = set(rule.all_vars())
+        for rel, pos in positions:
+            args = []
+            inner = set(local)
+            for i in range(1, P.s_in.arity(rel) + 1):
+                args.append(anchor if i == pos else _fresh_var("w", inner))
+            expanded.append(Rule(
+                rule.head_atoms,
+                rule.body_atoms + (Atom(rel, tuple(args)),),
+                rule.existentials,
+            ))
+    rules = expanded
 
     rules = sorted(rules, key=lambda r: r.canonical_str())
     return Program(P.s_in, P.s_out, Schema(aux), rules, art)
@@ -832,8 +830,7 @@ def monadic_reduction(P: Program, R: str) -> Program:
                    reachable_rules, art)
 
 
-def monadic_to_tam(Pp: Program, q_rels: list[str],
-                   out_name: str = "Ans") -> Program:
+def monadic_to_tam(Pp: Program, q_rels: list[str]) -> Program:
     """Converse reduction: from a Boolean monadic program P' whose input
     schema contains unary relations Q1..Qk, build a program P with a k-ary
     output such that P derives R(a1..ak) on I iff P' accepts
@@ -861,7 +858,7 @@ def monadic_to_tam(Pp: Program, q_rels: list[str],
         taken.add(name)
         star[rel] = name
         new_aux[name] = 1 + k
-    out_rel = fresh_name(out_name, taken)
+    out_rel = fresh_name("Ans", taken)
     taken.add(out_rel)
 
     rules: list[Rule] = []

@@ -140,27 +140,25 @@ def _spec_instances(q: UCQ, sigma) -> list:
 
 
 def characterize(q: UCQ, sigma, adjoint_program=None,
-                 method: str = "auto", cap: int = 10 ** 6) -> ExampleSet:
+                 cap: int = 10 ** 6) -> ExampleSet:
     """Uniquely characterizing examples among models of the dependency set:
     positives are the chased canonical instances, negatives their duals
     relative to the theory."""
     sigma = tuple(sigma)
     F_spec = _spec_instances(q, sigma)
     d = dual_wrt_theory(sigma, F_spec, adjoint_program=adjoint_program,
-                        method=method, cap=cap)
+                        cap=cap)
     return ExampleSet(positives=d.frontier, negatives=d.duals,
                       mode="model", theory=sigma)
 
 
 def characterize_abox(q: UCQ, sigma, adjoint_program=None,
-                      method: str = "auto",
                       cap: int = 10 ** 6) -> ExampleSet:
     """ABox-mode characterization: positives are the raw canonical
     instances; negatives come from the unchased ABox duals."""
     sigma = tuple(sigma)
     F_spec = _spec_instances(q, sigma)
-    d = abox_dual(sigma, F_spec, adjoint_program=adjoint_program,
-                  method=method, cap=cap)
+    d = abox_dual(sigma, F_spec, adjoint_program=adjoint_program, cap=cap)
     return ExampleSet(positives=tuple(F_spec), negatives=d.duals,
                       mode="abox", theory=sigma)
 
@@ -200,7 +198,7 @@ def _abox_answers(q: UCQ, A: Instance, sigma, start_depth: int = 8,
         f"answer set did not stabilize within chase depth {hard_cap}")
 
 
-def fits(q: UCQ, ex: ExampleSet, hard_cap: int = 256) -> bool:
+def fits(q: UCQ, ex: ExampleSet) -> bool:
     """Does q accept every positive and reject every negative example?"""
     for A in ex.positives:
         if len(A.points) != q.arity:
@@ -218,11 +216,10 @@ def fits(q: UCQ, ex: ExampleSet, hard_cap: int = 256) -> bool:
         return True
     sigma = tuple(ex.theory or ())
     for A in ex.positives:
-        if tuple(A.points) not in _abox_answers(q, A, sigma,
-                                                hard_cap=hard_cap):
+        if tuple(A.points) not in _abox_answers(q, A, sigma):
             return False
     for A in ex.negatives:
-        if tuple(A.points) in _abox_answers(q, A, sigma, hard_cap=hard_cap):
+        if tuple(A.points) in _abox_answers(q, A, sigma):
             return False
     return True
 

@@ -10,19 +10,17 @@ from conftest import (
     sigma1,
     sigma2,
 )
-from homkit.core import Element, Instance, Schema, find_homomorphism, \
-    isomorphic
+from homkit.core import Element, Instance, Schema, adom_instance, \
+    find_homomorphism, isomorphic
 from homkit.duality import (
     DualityError,
     abox_dual,
-    abox_morphism,
-    adom_instance,
     dual_from_program,
     dual_wrt_theory,
     fold_reduce,
     frontier_program,
 )
-from homkit.oracle import verify_duality
+from homkit.oracle import abox_morphism, verify_duality
 
 
 def linear_order(n: int) -> Instance:

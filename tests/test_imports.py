@@ -1,4 +1,5 @@
-"""Every name a homkit module imports is used somewhere in that module."""
+"""Every name a homkit module imports is used somewhere in that module,
+and the oracle imports none of the constructions it checks."""
 
 import ast
 import pathlib
@@ -33,3 +34,35 @@ def test_no_unused_imports():
     unused = {path.name: found for path in modules
               if (found := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _package_imports(source: str) -> set:
+    """The homkit modules a source file imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = "homkit" + (f".{module}" if module else "")
+            names = [module] if module != "homkit" else \
+                [f"homkit.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names
+                     if n.startswith("homkit."))
+    return found
+
+
+def test_package_import_detector():
+    source = ("from __future__ import annotations\nimport os\n"
+              "from .chase import a\nfrom . import ucq\n"
+              "import homkit.duality\nfrom homkit import adjoint\n")
+    assert _package_imports(source) == {"chase", "ucq", "duality", "adjoint"}
+
+
+def test_oracle_imports_only_core_program_and_chase():
+    # the oracle stays independent of the constructions it checks
+    assert _package_imports((SRC / "oracle.py").read_text()) <= \
+        {"core", "program", "chase"}

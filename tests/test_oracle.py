@@ -1,19 +1,25 @@
 """Brute-force verification oracles."""
 
+import itertools
+
 import pytest
 
-from conftest import digraph, make_path_program, make_tc_program
+from conftest import digraph, make_path_program, make_tc_program, sigma2
+from homkit import chase
+from homkit.chase import chase_theory
 from homkit.core import Instance, Schema, find_homomorphism
-from homkit.duality import dual_from_program
+from homkit.duality import abox_dual, dual_from_program
 from homkit.oracle import (
     OracleError,
     Verdict,
+    abox_morphism,
     count_instances,
     enumerate_instances,
     iter_homomorphisms,
     programs_equivalent_bounded,
     verify_duality,
 )
+from homkit.program import TGD, Atom, tgd_compile
 
 
 E = Schema([("E", 2)])
@@ -81,10 +87,65 @@ def test_verify_duality_detects_overlap():
 
 
 def test_programs_equivalent_bounded(tc_program):
-    from homkit.program import Atom, Program, Rule
+    from homkit.program import Program, Rule
     copy_only = Program(
         Schema([("E", 2)]), Schema([("Ans", 2)]), Schema([]),
         [Rule((Atom("Ans", ("x", "y")),), (Atom("E", ("x", "y")),))])
     v = programs_equivalent_bounded(tc_program, copy_only, B=3)
     assert not v.passed and v.counterexample is not None
     assert programs_equivalent_bounded(tc_program, tc_program, B=2).passed
+
+
+# ---------------------------------------------------------------------------
+# ABox morphisms
+# ---------------------------------------------------------------------------
+
+
+def _pointed_digraphs() -> list:
+    """Every 1-pointed digraph on one or two elements."""
+    out = []
+    for names in (["a"], ["a", "b"]):
+        pairs = list(itertools.product(names, repeat=2))
+        for size in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, size):
+                out += [digraph(edges, extra=names, points=(p,))
+                        for p in names]
+    return out
+
+
+def test_abox_morphism_is_its_definition_when_chases_terminate():
+    # under a weakly acyclic theory both chases are finite, and an ABox
+    # morphism is by definition a homomorphism of the chases extending h
+    sigma = (TGD((Atom("E", ("x", "y")),), (Atom("F", ("y", "z")),),
+                 ("z",)),)
+    P_sigma = tgd_compile(sigma, E)
+    instances = _pointed_digraphs()
+    assert len(instances) == 34
+    chases = [chase_theory(P_sigma, X)[0] for X in instances]
+    seen = set()
+    for A, A_chase in zip(instances, chases):
+        for B, B_chase in zip(instances, chases):
+            h = {A.points[0]: B.points[0]}
+            hom = find_homomorphism(A_chase, B_chase, bindings=h)
+            got = abox_morphism(sigma, A, B, h)
+            assert got == ("no" if hom is None else "yes"), (A, B)
+            seen.add(got)
+    assert seen == {"yes", "no"}
+
+
+def test_abox_verify_chases_each_instance_once(monkeypatch):
+    sigma = sigma2("E")
+    d = abox_dual(sigma, [digraph([("a", "b")])])
+    calls = []
+    real = chase.chase_existential
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chase, "chase_existential", counted)
+    v = verify_duality(d.frontier, d.duals, 3, sigma=sigma,
+                       category="abox")
+    assert v.passed
+    assert len(calls) <= count_instances(E, 3) + len(d.frontier) + \
+        len(d.duals)

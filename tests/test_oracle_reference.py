@@ -16,16 +16,15 @@ from conftest import (
     sigma2,
 )
 from homkit.chase import DEFAULT_BUDGET, run_program
-from homkit.core import Instance, Schema, find_homomorphism
-from homkit.duality import (
-    abox_dual,
-    abox_morphism,
-    adom_instance,
-    dual_from_program,
-    dual_wrt_theory,
-)
+from homkit.core import Instance, Schema, adom_instance, find_homomorphism
+from homkit.duality import abox_dual, dual_from_program, dual_wrt_theory
 from homkit import oracle
-from homkit.oracle import OracleError, Verdict, enumerate_instances
+from homkit.oracle import (
+    OracleError,
+    Verdict,
+    abox_morphism,
+    enumerate_instances,
+)
 from homkit.program import Atom, Program, Rule
 
 
@@ -52,7 +51,7 @@ def enumerate_pointed(schema: Schema, max_domain: int, k: int,
 
 
 def _frontier_hit(F, C: Instance, sigma, category: str,
-                  budget: int, morph_budget: int) -> Optional[bool]:
+                  budget: int) -> Optional[bool]:
     """Is (C, c) in the upward closure of the frontier?  None = unknown."""
     if isinstance(F, tuple) and len(F) in (2, 3) and \
             isinstance(F[0], Program):
@@ -65,7 +64,7 @@ def _frontier_hit(F, C: Instance, sigma, category: str,
     for A in F:
         if category == "abox":
             h = dict(zip(A.points, C.points))
-            ans = abox_morphism(sigma, A, C, h, budget=morph_budget)
+            ans = abox_morphism(sigma, A, C, h)
             if ans == "yes":
                 return True
             if ans == "unknown":
@@ -77,12 +76,12 @@ def _frontier_hit(F, C: Instance, sigma, category: str,
 
 
 def _dual_hit(D, C: Instance, sigma, category: str,
-              budget: int, morph_budget: int) -> Optional[bool]:
+              budget: int) -> Optional[bool]:
     unknown = False
     for d in D:
         if category == "abox":
             h = dict(zip(C.points, d.points))
-            ans = abox_morphism(sigma, C, d, h, budget=morph_budget)
+            ans = abox_morphism(sigma, C, d, h)
             if ans == "yes":
                 return True
             if ans == "unknown":
@@ -95,8 +94,7 @@ def _dual_hit(D, C: Instance, sigma, category: str,
 
 def verify_duality(F, D, B: int = 3, sigma=None,
                    category: Optional[str] = None,
-                   budget: int = DEFAULT_BUDGET,
-                   morph_budget: int = 10) -> Verdict:
+                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check the duality statement exhaustively at bound B.
 
     For every pointed (C, c) with at most B elements (dependency models
@@ -122,8 +120,8 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     filt = sigma if (sigma is not None and category == "relative") else None
     for C in enumerate_pointed(schema, B, k, filter_sigma=filt,
                                budget=budget):
-        fin = _frontier_hit(F, C, sigma, category, budget, morph_budget)
-        din = _dual_hit(duals, C, sigma, category, budget, morph_budget)
+        fin = _frontier_hit(F, C, sigma, category, budget)
+        din = _dual_hit(duals, C, sigma, category, budget)
         if fin is None or din is None:
             return Verdict(False, B, C, unknown=True,
                            explanation="unknown: bounded chase could not "
