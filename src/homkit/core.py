@@ -534,15 +534,18 @@ def structure_report(A: Instance) -> StructureReport:
 # Cores (exhaustive retract search, small scale)
 # ---------------------------------------------------------------------------
 
+# the largest domain whose core ``core_of`` searches for
+CORE_CAP = 8
 
-def core_of(A: Instance, cap: int = 8) -> Instance:
+
+def core_of(A: Instance) -> Instance:
     """A minimal retract of A, by exhaustive endomorphism search.
 
-    Points are fixed pointwise.  Instances with more than ``cap`` domain
-    elements are returned unchanged (the search is exponential).
+    Points are fixed pointwise.  Instances with more than ``CORE_CAP``
+    domain elements are returned unchanged (the search is exponential).
     """
     current = A
-    while len(current.domain) <= cap:
+    while len(current.domain) <= CORE_CAP:
         shrunk = None
         for h in iter_homomorphisms(current, current):
             image = set(h.values())

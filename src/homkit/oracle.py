@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .chase import DEFAULT_BUDGET, chase_theory, run_program
+from .chase import chase_theory, run_program
 from .core import (
     Element,
     Fact,
@@ -33,6 +33,10 @@ from .program import Program, tgd_compile
 # rounds of the chase behind an ABox morphism check when the dependency set
 # admits non-terminating chases
 ABOX_ROUNDS = 22
+
+# rounds of a program's chase in the adjoint and equivalence checks when the
+# program admits non-terminating chases
+PROGRAM_ROUNDS = 12
 
 
 class OracleError(HomkitError):
@@ -236,8 +240,7 @@ def _dual_hit(D, C: Instance, abox=None) -> Optional[bool]:
 
 
 def verify_duality(F, D, B: int = 3, sigma=None,
-                   category: Optional[str] = None,
-                   budget: int = DEFAULT_BUDGET) -> Verdict:
+                   category: Optional[str] = None) -> Verdict:
     """Check the duality statement exhaustively at bound B.
 
     For every pointed (C, c) with at most B elements (dependency models
@@ -268,6 +271,8 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     filt = sigma if (sigma is not None and category == "relative") else None
     F_abox = D_abox = None
     if category == "abox":
+        if sigma is None:
+            raise OracleError("the abox category needs a dependency set")
         P_sigma = tgd_compile(tuple(sigma), schema)
         F_chases = [] if generator else [_abox_chase(P_sigma, A) for A in F]
         D_chases = [_abox_chase(P_sigma, d) for d in duals]
@@ -275,7 +280,7 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         if k and not C.domain:
             continue  # no point tuples
         if generator:
-            derived = run_program(F[0], C, budget=budget).output.facts
+            derived = run_program(F[0], C).output.facts
         if category == "abox":
             C_chase = _abox_chase(P_sigma, C)
             F_abox = (P_sigma, F_chases, C_chase)
@@ -311,25 +316,26 @@ def _program_output(P: Program, I: Instance, budget: int):
     return adom_instance(res.output), res.terminated
 
 
-def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
-                   budget: int = 12) -> Verdict:
+def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
     """Check the right-adjoint property of ``result`` for (P, J) at bound B.
 
     For every input instance I with at most B elements: P(I) maps into J
     iff I maps into some member; and when both hold, some witness pair of
     homomorphisms commutes through the member's partial back-map.  For
-    programs with non-terminating chases the left side uses a bounded chase;
-    a "yes" is accepted only when one more round does not change it,
-    otherwise the verdict is unknown.
+    programs with non-terminating chases the left side reads a chase
+    prefix of ``PROGRAM_ROUNDS`` rounds.  A prefix that does not map into
+    J is a certain "no", as the output only grows.  A prefix that maps
+    into J is not a certain "yes": it is accepted when one more round
+    still maps, and the verdict is unknown otherwise.
     """
     members = list(result.members)
     for I in enumerate_instances(P.s_in, B):
-        out, stable = _program_output(P, I, budget)
+        out, stable = _program_output(P, I, PROGRAM_ROUNDS)
         lhs = find_homomorphism(out, J) is not None
         if lhs and not stable:
-            # a prefix that does not map into J is a certain "no": the
-            # output only grows
-            out1, _ = _program_output(P, I, budget + 1)
+            # heuristic "yes": certifying it needs a finite model of P
+            # whose output maps into J, and nothing here searches for one
+            out1, _ = _program_output(P, I, PROGRAM_ROUNDS + 1)
             lhs1 = find_homomorphism(out1, J) is not None
             if lhs != lhs1:
                 return Verdict(False, B, I, unknown=True,
@@ -375,31 +381,28 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def programs_equivalent_bounded(P1: Program, P2: Program, B: int = 3,
-                                budget: int = 12) -> Verdict:
+def programs_equivalent_bounded(P1: Program, P2: Program,
+                                B: int = 3) -> Verdict:
     """Check that both programs produce homomorphically equivalent outputs
     (fixing the input's active domain) on every input with at most B
-    elements."""
+    elements.  Each program is chased once per input; a chase that did
+    not terminate within ``PROGRAM_ROUNDS`` rounds leaves only a prefix of
+    the output, which certifies nothing, so the verdict is unknown."""
     if P1.s_in.relations != P2.s_in.relations or \
             P1.s_out.relations != P2.s_out.relations:
         raise OracleError("programs have different input or output schemas")
     for I in enumerate_instances(P1.s_in, B):
         outs = []
         for P in (P1, P2):
-            out, stable = _program_output(P, I, budget)
-            if not stable:
-                out1, _ = _program_output(P, I, budget + 1)
-                stable = out.canonical_key() == out1.canonical_key()
-            if not stable:
+            out, terminated = _program_output(P, I, PROGRAM_ROUNDS)
+            if not terminated:
                 return Verdict(False, B, I, unknown=True,
-                               explanation="unknown: bounded chase not "
-                                           "stable for this instance")
+                               explanation="unknown: bounded chase did not "
+                                           "terminate for this instance")
             outs.append(out)
         fixed = sorted(set(I.active_domain))
-        o1 = Instance(P1.s_out, set(outs[0].domain) | set(fixed),
-                      outs[0].facts)
-        o2 = Instance(P1.s_out, set(outs[1].domain) | set(fixed),
-                      outs[1].facts)
+        o1, o2 = (Instance(P1.s_out, set(o.domain) | set(fixed), o.facts)
+                  for o in outs)
         if find_homomorphism(o1, o2, fixed=fixed) is None or \
                 find_homomorphism(o2, o1, fixed=fixed) is None:
             return Verdict(False, B, I,

@@ -204,12 +204,13 @@ def _fresh_var(base: str, taken: set[str]) -> str:
     return v
 
 
-def body_instance(rule: Rule, schema: Schema,
-                  points: tuple[str, ...] = ()) -> Instance:
-    """The canonical instance of a rule body (variables become elements)."""
-    elems = {v: Element.named(v) for v in rule.body_vars() | set(points)}
-    facts = [(a.rel, tuple(elems[v] for v in a.args))
-             for a in rule.body_atoms]
+def canonical_instance(atoms: tuple[Atom, ...], schema: Schema,
+                       points: tuple[str, ...] = ()) -> Instance:
+    """The canonical instance of a conjunction of atoms: its variables
+    become elements, and the variables ``points`` become the points."""
+    elems = {v: Element.named(v)
+             for v in {v for a in atoms for v in a.args} | set(points)}
+    facts = [(a.rel, tuple(elems[v] for v in a.args)) for a in atoms]
     return Instance(schema, elems.values(), facts,
                     tuple(elems[v] for v in points))
 
@@ -373,7 +374,8 @@ def _weakly_acyclic(P: Program) -> bool:
 
 def classify(P: Program) -> Classification:
     full = P.full_schema()
-    reports = [structure_report(body_instance(r, full)) for r in P.rules]
+    reports = [structure_report(canonical_instance(r.body_atoms, full))
+               for r in P.rules]
     tree_shaped = all(rep.acyclic for rep in reports)
     connected = all(rep.connected for rep in reports)
     witness = articulation_search(P)
@@ -733,7 +735,7 @@ def _normalize_articulation(P: Program, art: dict) -> Program:
     return Program(P.s_in, P.s_out, P.s_aux, rules, new_art)
 
 
-def _sf_name(rel: str, f: dict[int, int], taken: set[str]) -> str:
+def _sf_name(rel: str, f: dict[int, int]) -> str:
     parts = "".join(f"_{i}q{j}" for i, j in sorted(f.items()))
     return f"{rel}_f{parts}"
 
@@ -769,7 +771,7 @@ def monadic_reduction(P: Program, R: str) -> Program:
     new_rules: list[Rule] = []
 
     def sf(rel: str, f: dict[int, int]) -> str:
-        name = _sf_name(rel, f, taken)
+        name = _sf_name(rel, f)
         new_aux[name] = 1
         return name
 
@@ -924,16 +926,6 @@ def _unify_args(args1, args2) -> Optional[dict]:
     return {v: find(v) for v in parent}
 
 
-def _derived_rule_instance(head_args, body, schema) -> Instance:
-    elems = {v: Element.named(v)
-             for a in body for v in a.args}
-    for v in head_args:
-        elems.setdefault(v, Element.named(v))
-    facts = [(a.rel, tuple(elems[v] for v in a.args)) for a in body]
-    return Instance(schema, elems.values(), facts,
-                    tuple(elems[v] for v in head_args))
-
-
 def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
     """Pointed canonical instances of input-only derivable rules with head
     relation R, reachable in at most ``depth`` substitution steps,
@@ -943,7 +935,6 @@ def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
     if depth < 1:
         raise ProgramError("depth must be >= 1")
     aux_names = set(P.s_aux.names)
-    in_schema = P.s_in
     work_schema = P.full_schema()
 
     frontier: list[tuple] = []  # (head_args, body_atoms)
@@ -960,7 +951,7 @@ def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
     def dedupe(entries):
         buckets: dict = {}
         for entry in entries:
-            inst = _derived_rule_instance(entry[0], entry[1], work_schema)
+            inst = canonical_instance(entry[1], work_schema, entry[0])
             buckets.setdefault(bucket(entry), [])
             if not any(isomorphic(inst, other_inst)
                        for _, other_inst in buckets[bucket(entry)]):
@@ -1004,8 +995,7 @@ def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
 
     out: list[Instance] = []
     for head_args, body in results:
-        inst = _derived_rule_instance(head_args, body, work_schema)
-        inst = Instance(in_schema, inst.domain, inst.facts, inst.points)
+        inst = canonical_instance(body, P.s_in, head_args)
         if not any(isomorphic(inst, o) for o in out):
             out.append(inst)
     return sorted(out, key=lambda i: i.canonical_key())

@@ -5,6 +5,11 @@ disjuncts.  ``characterize`` builds a labeled example set (positives and
 negatives) that pins the query down uniquely among UCQs over the models of
 a dependency set, and ``characterize_abox`` does the same in the ABox
 category where examples are incomplete databases evaluated via the chase.
+
+In the ABox category q holds at an example when some disjunct maps into
+the example's chase.  A chase cut off at its round bound is a prefix, read
+by one rule: a hit in the prefix is certain, a miss is certain only when
+the chase terminated, and any other case is unknown.
 """
 
 from __future__ import annotations
@@ -12,10 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .chase import _join, _Store, chase_theory
-from .core import Element, HomkitError, Instance, Schema, structure_report
+from .chase import _join, _Store
+from .core import (
+    HomkitError,
+    Instance,
+    Schema,
+    find_homomorphism,
+    structure_report,
+)
 from .duality import abox_dual, dual_wrt_theory
-from .program import Atom, tgd_compile, tgd_schema
+from .oracle import Verdict, _abox_chase, _abox_decide, verify_duality
+from .program import Atom, canonical_instance, tgd_compile, tgd_schema
 
 
 class QueryError(HomkitError):
@@ -92,16 +104,8 @@ def canonical_instances(q: UCQ, schema: Optional[Schema] = None) -> list:
     """Pointed canonical instance of each disjunct (variables become
     elements; the answer tuple becomes the points)."""
     base = schema if schema is not None else q.schema()
-    out = []
-    for cq in q.disjuncts:
-        elems = {}
-        for a in cq.atoms:
-            for v in a.args:
-                elems.setdefault(v, Element.named(v))
-        facts = [(a.rel, tuple(elems[v] for v in a.args)) for a in cq.atoms]
-        points = tuple(elems[v] for v in cq.answer_vars)
-        out.append(Instance(base, set(elems.values()), facts, points))
-    return out
+    return [canonical_instance(cq.atoms, base, cq.answer_vars)
+            for cq in q.disjuncts]
 
 
 def is_c_acyclic(q: UCQ) -> bool:
@@ -109,15 +113,18 @@ def is_c_acyclic(q: UCQ) -> bool:
                for ci in canonical_instances(q))
 
 
-def evaluate(q: UCQ, A: Instance) -> set:
-    """All answer tuples of q on A (Chandra-Merlin: homomorphisms from the
-    canonical instances)."""
-    qschema = q.schema()
-    for rel, arity in qschema.relations:
-        if rel not in A.schema or A.schema.arity(rel) != arity:
+def _check_schema(q: UCQ, schema: Schema):
+    for rel, arity in q.schema().relations:
+        if rel not in schema or schema.arity(rel) != arity:
             raise QueryError(
                 f"query relation {rel}/{arity} missing from the instance "
                 "schema")
+
+
+def evaluate(q: UCQ, A: Instance) -> set:
+    """All answer tuples of q on A (Chandra-Merlin: homomorphisms from the
+    canonical instances)."""
+    _check_schema(q, A.schema)
     store = _Store(A.schema, A.facts)
     answers: set = set()
     for cq in q.disjuncts:
@@ -168,74 +175,65 @@ def characterize_abox(q: UCQ, sigma, adjoint_program=None,
 # ---------------------------------------------------------------------------
 
 
-def _abox_answers(q: UCQ, A: Instance, sigma, start_depth: int = 8,
-                  hard_cap: int = 256) -> set:
-    """q's answers over the chase of A, restricted to A's elements.
-
-    When the chase is guaranteed finite it is run exactly; otherwise the
-    depth is doubled until the answer set is stable for two consecutive
-    depths.  Hitting the hard cap is an error, never a silent answer.
-    """
-    sigma = tuple(sigma)
-    P_sigma = tgd_compile(sigma, A.schema)
-    dom = set(A.domain)
-
-    def answers_at(depth: Optional[int]) -> set:
-        out, _ = chase_theory(P_sigma, A, depth)
-        return {t for t in evaluate(q, out) if all(e in dom for e in t)}
-
-    if P_sigma.terminates:
-        return answers_at(None)
-    depth = start_depth
-    prev = answers_at(depth)
-    while depth <= hard_cap:
-        depth *= 2
-        cur = answers_at(depth)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise QueryError(
-        f"answer set did not stabilize within chase depth {hard_cap}")
+def _misfit(q: UCQ, ex: ExampleSet):
+    """The first example q gets wrong, with q's answer there ("yes", "no"
+    or "unknown"), or None.  q holds at (A, a) when some disjunct's
+    canonical instance maps, answer variables to a, into A (model mode) or
+    into A's chase (ABox mode: certain answers are answers on the chase,
+    Fagin, Kolaitis, Miller and Popa, TCS 2005), decided by
+    ``oracle._abox_decide`` with each example chased once."""
+    labeled = [(A, "yes") for A in ex.positives] + \
+        [(A, "no") for A in ex.negatives]
+    for A, _ in labeled:
+        if len(A.points) != q.arity:
+            raise QueryError("example arity does not match the query")
+    if ex.mode == "abox":
+        schema = Schema([])
+        for A, _ in labeled:
+            schema = schema.union(A.schema)
+        P_sigma = tgd_compile(tuple(ex.theory or ()), schema)
+        _check_schema(q, P_sigma.s_aux)
+        sources = canonical_instances(q, P_sigma.s_aux)
+        source_chases = [_abox_chase(P_sigma, ci) for ci in sources]
+    for A, want in labeled:
+        if ex.mode == "model":
+            _check_schema(q, A.schema)
+            hit = any(find_homomorphism(ci, A) is not None
+                      for ci in canonical_instances(q, A.schema))
+            got = "yes" if hit else "no"
+        else:
+            A_chase = _abox_chase(P_sigma, A)
+            got = min((_abox_decide(P_sigma, ci, ci_chase, A, A_chase, {})
+                       for ci, ci_chase in zip(sources, source_chases)),
+                      key=("yes", "unknown", "no").index, default="no")
+        if got != want:
+            return A, got
+    return None
 
 
 def fits(q: UCQ, ex: ExampleSet) -> bool:
-    """Does q accept every positive and reject every negative example?"""
-    for A in ex.positives:
-        if len(A.points) != q.arity:
-            raise QueryError("example arity does not match the query")
-    for A in ex.negatives:
-        if len(A.points) != q.arity:
-            raise QueryError("example arity does not match the query")
-    if ex.mode == "model":
-        for A in ex.positives:
-            if tuple(A.points) not in evaluate(q, A):
-                return False
-        for A in ex.negatives:
-            if tuple(A.points) in evaluate(q, A):
-                return False
-        return True
-    sigma = tuple(ex.theory or ())
-    for A in ex.positives:
-        if tuple(A.points) not in _abox_answers(q, A, sigma):
-            return False
-    for A in ex.negatives:
-        if tuple(A.points) in _abox_answers(q, A, sigma):
-            return False
-    return True
+    """Does q accept every positive and reject every negative example?
+    Raises ``QueryError`` when a bounded chase cannot decide an example."""
+    miss = _misfit(q, ex)
+    if miss is not None and miss[1] == "unknown":
+        raise QueryError("bounded chase could not decide whether the query "
+                         "holds at an example")
+    return miss is None
 
 
 def verify_characterization(q: UCQ, ex: ExampleSet, B: int = 3):
     """Fitting plus the bounded duality check: a pass certifies that any
     UCQ fitting the examples agrees with q on instances of at most B
-    elements."""
-    from .oracle import Verdict, verify_duality
-
-    if not fits(q, ex):
-        probe = None
-        for A in list(ex.positives) + list(ex.negatives):
-            probe = A
-            break
-        return Verdict(False, B, probe,
+    elements.  When q does not fit, the counterexample is the first
+    example it gets wrong or cannot decide."""
+    miss = _misfit(q, ex)
+    if miss is not None:
+        A, got = miss
+        if got == "unknown":
+            return Verdict(False, B, A, unknown=True,
+                           explanation="unknown: bounded chase could not "
+                                       "decide this example")
+        return Verdict(False, B, A,
                        explanation="query does not fit its own example set")
     category = "abox" if ex.mode == "abox" else (
         "relative" if ex.theory else "plain")

@@ -127,6 +127,27 @@ def make_nonterminating_program() -> Program:
     )
 
 
+def make_slow_answer_program(guard: bool) -> Program:
+    """Ans(x) for every x with an out-edge, through the chain S20 -> ... ->
+    S00, next to an E-fed T-chain whose chase never terminates; with
+    ``guard``, Ans also needs the loop E(x,x).  The two variants differ on
+    E(e1,e2), but not within 12 chase rounds."""
+    rules = [
+        Rule((Atom("T", ("y", "z")),), (Atom("E", ("x", "y")),), ("z",)),
+        Rule((Atom("T", ("y", "z")),), (Atom("T", ("x", "y")),), ("z",)),
+        Rule((Atom("S20", ("x",)),), (Atom("E", ("x", "y")),)),
+    ]
+    rules += [Rule((Atom(f"S{i - 1:02d}", ("x",)),),
+                   (Atom(f"S{i:02d}", ("x",)),)) for i in range(1, 21)]
+    body = (Atom("S00", ("x",)),)
+    if guard:
+        body += (Atom("E", ("x", "x")),)
+    rules.append(Rule((Atom("Ans", ("x",)),), body))
+    aux = [("T", 2)] + [(f"S{i:02d}", 1) for i in range(21)]
+    return Program(Schema([("E", 2)]), Schema([("Ans", 1)]), Schema(aux),
+                   rules)
+
+
 def digraph(edges, extra=(), points=()) -> Instance:
     """Instance over {E/2} from element-name pairs."""
     names = {n for e in edges for n in e} | set(extra) | set(points)

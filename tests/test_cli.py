@@ -12,6 +12,7 @@ from conftest import (
     make_edge_automaton,
     make_path_program,
     make_sigma1_rewrite,
+    make_slow_answer_program,
     make_tc_program,
 )
 from homkit.automata import print_automaton
@@ -227,6 +228,15 @@ def test_verify_adjoint_and_equiv(files, capsys):
     assert code == 0 and payload["passed"]
 
 
+def test_verify_equiv_unknown_on_unfinished_chase(capsys, tmp_path):
+    for guard in (False, True):
+        (tmp_path / f"p{guard:d}.dl").write_text(
+            print_program(make_slow_answer_program(guard)))
+    code, out = run_cli(capsys, "verify", "equiv", str(tmp_path / "p0.dl"),
+                        str(tmp_path / "p1.dl"), "-B", "2")
+    assert code == 1 and out.startswith("unknown (B=2)")
+
+
 def test_automaton_subcommands(files, capsys, tmp_path):
     code, payload = run_json(capsys, "automaton", "run",
                              str(files / "edge.aut"),
@@ -288,3 +298,11 @@ def test_verify_duality_cli(files, capsys, tmp_path):
                              "--frontier", str(front),
                              "--dual", str(front), "-B", "3")
     assert code == 1 and not payload["passed"]
+
+
+def test_verify_abox_duality_without_theory_is_a_usage_error(files, capsys):
+    code = main(["verify", "duality", "--frontier", str(files / "path.inst"),
+                 "--dual", str(files / "loop.inst"), "--category", "abox",
+                 "-B", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ")

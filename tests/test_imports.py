@@ -1,5 +1,6 @@
 """Every name a homkit module imports is used somewhere in that module,
-and the oracle imports none of the constructions it checks."""
+every parameter of a homkit function is read in its body, and the oracle
+imports none of the constructions it checks."""
 
 import ast
 import pathlib
@@ -66,3 +67,39 @@ def test_oracle_imports_only_core_program_and_chase():
     # the oracle stays independent of the constructions it checks
     assert _package_imports((SRC / "oracle.py").read_text()) <= \
         {"core", "program", "chase"}
+
+
+def _unread_parameters(source: str) -> list:
+    """(line, function, parameter) for each parameter its function's body
+    never reads; a read inside a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + \
+            [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, name, p.arg) for p in params
+                  if p.arg not in read]
+    return found
+
+
+def test_unread_parameter_detector():
+    source = ("def f(a, b, *c, d=1, **e):\n"
+              "    b = 2\n"
+              "    def g():\n"
+              "        return a + d\n"
+              "    return g, lambda x, y: y\n")
+    assert _unread_parameters(source) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (5, "<lambda>", "x")]
+
+
+def test_no_unread_parameters():
+    unread = {path.name: found for path in sorted(SRC.glob("*.py"))
+              if (found := _unread_parameters(path.read_text()))}
+    assert unread == {}

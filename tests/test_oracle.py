@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from conftest import digraph, make_path_program, make_tc_program, sigma2
+from conftest import (
+    digraph,
+    make_path_program,
+    make_slow_answer_program,
+    make_tc_program,
+    sigma2,
+)
+from homkit import oracle
 from homkit import chase
 from homkit.chase import chase_theory
 from homkit.core import Instance, Schema, find_homomorphism
@@ -94,6 +101,40 @@ def test_programs_equivalent_bounded(tc_program):
     v = programs_equivalent_bounded(tc_program, copy_only, B=3)
     assert not v.passed and v.counterexample is not None
     assert programs_equivalent_bounded(tc_program, tc_program, B=2).passed
+
+
+def test_equivalence_is_unknown_on_a_chase_prefix():
+    # the outputs agree on every 12-round prefix, but differ on E(e1,e2)
+    v = programs_equivalent_bounded(make_slow_answer_program(False),
+                                    make_slow_answer_program(True), B=2)
+    assert not v.passed and v.unknown
+    assert v.counterexample.facts
+
+
+def test_equivalence_chases_each_program_once_per_instance(monkeypatch,
+                                                          tc_program):
+    calls = []
+    real = oracle.run_program
+
+    def counted(P, I, *args, **kwargs):
+        calls.append(P)
+        return real(P, I, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "run_program", counted)
+    assert programs_equivalent_bounded(tc_program, tc_program, B=2).passed
+    assert calls == [tc_program] * (2 * count_instances(E, 2))
+    # an unfinished chase ends the check at once, without a second chase
+    calls.clear()
+    P1, P2 = make_slow_answer_program(False), make_slow_answer_program(True)
+    v = programs_equivalent_bounded(P1, P2, B=2)
+    before = list(enumerate_instances(E, 2)).index(v.counterexample)
+    assert calls == [P1, P2] * before + [P1]
+
+
+def test_abox_verify_needs_a_dependency_set():
+    with pytest.raises(OracleError):
+        verify_duality([digraph([("a", "b")])], [digraph([("x", "x")])], 1,
+                       category="abox")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from conftest import digraph, make_sigma1_rewrite, sigma1, sigma2
+from homkit import oracle, ucq
 from homkit.core import Element, Instance, Schema
-from homkit.program import Atom
+from homkit.program import TGD, Atom
 from homkit.ucq import (
     CQ,
     UCQ,
@@ -144,4 +145,63 @@ def test_characterization_rejects_corrupted_examples():
     corrupted = ExampleSet(ex.positives + (ex.negatives[0],),
                            ex.negatives, mode="model")
     v = verify_characterization(q, corrupted, B=3)
-    assert not v.passed
+    assert not v.passed and not v.unknown
+    assert v.counterexample is corrupted.positives[-1]
+
+
+def chain_example_set(n: int) -> ExampleSet:
+    """Under E(x,y) -> exists z E(y,z) and Qi(x) -> Q(i-1)(x) for
+    i = 1..n, the example {Qn(a), E(a,b)} pointed at a holds Q0(a) in the
+    chase from round n on, while the E-chain never terminates."""
+    sigma = sigma2("E") + tuple(
+        TGD((Atom(f"Q{i}", ("x",)),), (Atom(f"Q{i - 1}", ("x",)),))
+        for i in range(1, n + 1))
+    schema = Schema([("E", 2), ("P", 1)] +
+                    [(f"Q{i}", 1) for i in range(n + 1)])
+    a, b = Element.named("a"), Element.named("b")
+    A = Instance(schema, [a, b], [(f"Q{n}", (a,)), ("E", (a, b))], (a,))
+    return ExampleSet((A,), (), mode="abox", theory=sigma)
+
+
+Q0 = UCQ("q", 1, (CQ(("x",), (Atom("Q0", ("x",)),)),))
+# P is in no chase of the example: that disjunct is a certain "no"
+Q0_OR_P = UCQ("q", 1, Q0.disjuncts + (CQ(("x",), (Atom("P", ("x",)),)),))
+
+
+@pytest.mark.parametrize("q", [Q0, Q0_OR_P])
+def test_abox_fit_is_certain_on_a_hit_in_the_chase_prefix(q):
+    assert fits(q, chain_example_set(20))
+
+
+@pytest.mark.parametrize("q", [Q0, Q0_OR_P])
+def test_abox_fit_is_unknown_on_a_miss_in_an_unfinished_chase(q):
+    ex = chain_example_set(30)
+    with pytest.raises(QueryError):
+        fits(q, ex)
+    v = verify_characterization(q, ex, B=1)
+    assert not v.passed and v.unknown
+    assert v.counterexample is ex.positives[0]
+
+
+def test_abox_fits_compiles_once_and_chases_each_example_once(monkeypatch):
+    q = two_path_query()
+    ex = characterize_abox(q, sigma2("E"))
+    compiled, chased = [], []
+    real_compile, real_chase = ucq.tgd_compile, oracle.chase_theory
+
+    def counted_compile(*args, **kwargs):
+        compiled.append(1)
+        return real_compile(*args, **kwargs)
+
+    def counted_chase(P_sigma, X, *args, **kwargs):
+        chased.append(id(X))
+        return real_chase(P_sigma, X, *args, **kwargs)
+
+    monkeypatch.setattr(ucq, "tgd_compile", counted_compile)
+    monkeypatch.setattr(oracle, "chase_theory", counted_chase)
+    assert fits(q, ex)
+    assert len(compiled) == 1
+    examples = ex.positives + ex.negatives
+    assert all(chased.count(id(A)) == 1 for A in examples)
+    # and each disjunct's canonical instance once
+    assert len(chased) == len(examples) + len(q.disjuncts)
