@@ -25,12 +25,12 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
-    _UnionFind,
 )
 from .program import (
     Atom,
     Program,
     Rule,
+    _incidence_links,
     articulation_search,
     classify,
     fresh_name,
@@ -102,14 +102,10 @@ def _var_components(body: tuple[Atom, ...]) -> list[set[str]]:
     """Connected components of the body's variable graph (variables linked
     when they co-occur in an atom).  One (possibly empty) set per component
     of the atom graph."""
-    uf = _UnionFind()
-    for idx, atom in enumerate(body):
-        uf.find(("atom", idx))
-        for v in atom.args:
-            uf.union(("atom", idx), ("var", v))
+    uf = _incidence_links(body)
     comps: dict = {}
     for idx, atom in enumerate(body):
-        comps.setdefault(uf.find(("atom", idx)), set()).update(atom.args)
+        comps.setdefault(uf.find(idx), set()).update(atom.args)
     return sorted(comps.values(), key=sorted)
 
 

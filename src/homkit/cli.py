@@ -321,10 +321,8 @@ def cmd_hom(args) -> int:
     return EXIT_OK
 
 
-def _finish_verdict(args, v: Verdict, extra=None) -> int:
+def _finish_verdict(args, v: Verdict) -> int:
     payload = _verdict_json(v)
-    if extra:
-        payload.update(extra)
     status = "unknown" if v.unknown else ("pass" if v.passed else "fail")
     text = f"{status} (B={v.bound})"
     if v.explanation:

@@ -208,6 +208,17 @@ def abox_morphism(sigma, A: Instance, B: Instance,
 # ---------------------------------------------------------------------------
 
 
+def _some_yes(answers) -> Optional[bool]:
+    """Fold "yes" / "no" / "unknown" answers: any "yes" wins, then any
+    "unknown" (None), then "no"."""
+    unknown = False
+    for ans in answers:
+        if ans == "yes":
+            return True
+        unknown = unknown or ans == "unknown"
+    return None if unknown else False
+
+
 def _frontier_hit(F, C: Instance, abox=None) -> Optional[bool]:
     """Is (C, c) in the upward closure of an explicit frontier?  None =
     unknown.  In the ABox category ``abox`` is (P_sigma, the members'
@@ -216,12 +227,10 @@ def _frontier_hit(F, C: Instance, abox=None) -> Optional[bool]:
         C_adom = adom_instance(C)
         return any(find_homomorphism(A, C_adom) is not None for A in F)
     P_sigma, F_chases, C_chase = abox
-    for A, A_chase in zip(F, F_chases):
-        ans = _abox_decide(P_sigma, A, A_chase, C, C_chase,
-                           dict(zip(A.points, C.points)))
-        if ans != "no":
-            return True if ans == "yes" else None
-    return False
+    return _some_yes(
+        _abox_decide(P_sigma, A, A_chase, C, C_chase,
+                     dict(zip(A.points, C.points)))
+        for A, A_chase in zip(F, F_chases))
 
 
 def _dual_hit(D, C: Instance, abox=None) -> Optional[bool]:
@@ -229,14 +238,10 @@ def _dual_hit(D, C: Instance, abox=None) -> Optional[bool]:
         C_adom = adom_instance(C)
         return any(find_homomorphism(C_adom, d) is not None for d in D)
     P_sigma, D_chases, C_chase = abox
-    unknown = False
-    for d, d_chase in zip(D, D_chases):
-        ans = _abox_decide(P_sigma, C, C_chase, d, d_chase,
-                           dict(zip(C.points, d.points)))
-        if ans == "yes":
-            return True
-        unknown = unknown or ans == "unknown"
-    return None if unknown else False
+    return _some_yes(
+        _abox_decide(P_sigma, C, C_chase, d, d_chase,
+                     dict(zip(C.points, d.points)))
+        for d, d_chase in zip(D, D_chases))
 
 
 def verify_duality(F, D, B: int = 3, sigma=None,

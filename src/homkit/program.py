@@ -15,6 +15,7 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
+    _UnionFind,
     isomorphic,
     structure_report,
 )
@@ -432,6 +433,29 @@ def restrict_output(P: Program, R: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
+def _anchor_in_inputs(rule: Rule, anchors: list[str],
+                      s_in: Schema) -> list[Rule]:
+    """The rule with one input atom per anchor variable added to its body,
+    in all possible ways: the anchor goes at one (relation, position) of
+    ``s_in`` and fresh ``w`` variables fill the other positions.  The
+    cartesian product is taken across anchors; with no anchor the rule is
+    returned as it is, and with no input position none is returned."""
+    positions = [
+        (rel, i) for rel, arity in s_in.relations
+        for i in range(1, arity + 1)
+    ]
+    out = []
+    for combo in itertools.product(positions, repeat=len(anchors)):
+        taken = set(rule.all_vars())
+        extra = tuple(
+            Atom(rel, tuple(var if i == pos else _fresh_var("w", taken)
+                            for i in range(1, s_in.arity(rel) + 1)))
+            for var, (rel, pos) in zip(anchors, combo))
+        out.append(Rule(rule.head_atoms, rule.body_atoms + extra,
+                        rule.existentials))
+    return out
+
+
 def repair_unsafe_rules(rules: list[Rule], s_in: Schema) -> list[Rule]:
     """Make unsafe rules safe by grounding missing head variables in input
     atoms.
@@ -444,34 +468,10 @@ def repair_unsafe_rules(rules: list[Rule], s_in: Schema) -> list[Rule]:
     arity) are dropped.
     """
     out: list[Rule] = []
-    positions = [
-        (rel, i) for rel, arity in s_in.relations
-        for i in range(1, arity + 1)
-    ]
     for rule in rules:
         missing = sorted(
             rule.head_vars() - rule.body_vars() - set(rule.existentials))
-        if not missing:
-            out.append(rule)
-            continue
-        if not positions:
-            continue
-        taken = set(rule.all_vars())
-        for combo in itertools.product(positions, repeat=len(missing)):
-            extra = []
-            local_taken = set(taken)
-            for var, (rel, pos) in zip(missing, combo):
-                arity = s_in.arity(rel)
-                args = []
-                for i in range(1, arity + 1):
-                    if i == pos:
-                        args.append(var)
-                    else:
-                        args.append(_fresh_var("w", local_taken))
-                extra.append(Atom(rel, tuple(args)))
-            out.append(Rule(rule.head_atoms,
-                            rule.body_atoms + tuple(extra),
-                            rule.existentials))
+        out += _anchor_in_inputs(rule, missing, s_in)
     # canonical order, dedupe
     seen = set()
     result = []
@@ -488,108 +488,69 @@ def repair_unsafe_rules(rules: list[Rule], s_in: Schema) -> list[Rule]:
 # ---------------------------------------------------------------------------
 
 
-def _atom_forest(body: tuple[Atom, ...]) -> dict[int, list[tuple[int, str]]]:
-    """Adjacency of the body's atom graph: atoms sharing a variable.
+def _incidence_links(body: tuple[Atom, ...], cut=None) -> _UnionFind:
+    """Union-find over the incidence graph of a rule body.
 
-    For an acyclic rule body two atoms share at most one variable and this
-    graph is a forest.  Returns adjacency {atom index: [(other, shared var)]}.
+    Nodes are the atom indices and the variables; there is one link per
+    (atom index, variable) occurrence, and the link ``cut`` is left out.
     """
-    adj: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(body))}
-    for i, j in itertools.combinations(range(len(body)), 2):
-        shared = set(body[i].args) & set(body[j].args)
-        if shared:
-            v = sorted(shared)[0]
-            adj[i].append((j, v))
-            adj[j].append((i, v))
-    return adj
+    uf = _UnionFind()
+    for i, atom in enumerate(body):
+        for v in atom.args:
+            if (i, v) != cut:
+                uf.union(i, v)
+    return uf
 
 
 def _split_rule(rule: Rule, in_names: set[str]):
-    """Candidate splits of a body with >= 2 input-atom occurrences into two
-    atom groups sharing at most one variable ``z``, each keeping at least one
-    input atom.  Returns a list of (group1, group2, z) orientations."""
+    """Candidate splits of a body with >= 2 input atoms into two atom
+    groups sharing at most one variable ``z``, each keeping at least one
+    input atom.  Returns a list of (group1, group2, z) orientations.
+
+    The body is split on its incidence forest (atoms and variables, one
+    link per occurrence); the caller drops repeated atoms first, as the
+    two copies of an atom form a cycle.  Input atoms in different
+    components split along the first such component, with no shared
+    variable.  Otherwise each link (i, z) whose removal leaves the first
+    input atom on z's side and the second on i's side is a cut: group 2
+    is the second input's side, and the cuts run from the first input
+    toward the second.
+    """
     body = rule.body_atoms
-    adj = _atom_forest(body)
-    inputs = [i for i, a in enumerate(body) if a.rel in in_names]
-
-    # connected components of the atom graph
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
-    for i in range(len(body)):
-        if i in comp_of:
-            continue
-        comp = []
-        stack = [i]
-        comp_of[i] = len(comps)
-        while stack:
-            n = stack.pop()
-            comp.append(n)
-            for m, _ in adj[n]:
-                if m not in comp_of:
-                    comp_of[m] = len(comps)
-                    stack.append(m)
-        comps.append(sorted(comp))
-
-    input_comps = sorted({comp_of[i] for i in inputs})
-    if len(input_comps) >= 2:
-        # input atoms in different components: split along components,
-        # no shared variable
-        first = input_comps[0]
-        group1 = comps[first]
-        group2 = [i for i in range(len(body)) if comp_of[i] != first]
+    atoms = range(len(body))
+    inputs = [i for i in atoms if body[i].rel in in_names]
+    uf = _incidence_links(body)
+    roots = {uf.find(i) for i in inputs}
+    if len(roots) >= 2:
+        first = next(uf.find(i) for i in atoms if uf.find(i) in roots)
+        group1 = [i for i in atoms if uf.find(i) == first]
+        group2 = [i for i in atoms if uf.find(i) != first]
         return [(group1, group2, None), (group2, group1, None)]
 
-    # all input atoms share one component: cut an edge on the path between
-    # the first two input atoms; other components stay with group 1
     start, goal = inputs[0], inputs[1]
-    prev: dict[int, tuple[int, str]] = {start: (-1, "")}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        if n == goal:
-            break
-        for m, v in sorted(adj[n]):
-            if m not in prev:
-                prev[m] = (n, v)
-                stack.append(m)
-    # edges on the path between the two input atoms
-    path = []
-    n = goal
-    while n != start:
-        p, v = prev[n]
-        path.append((p, n, v))
-        n = p
-    path.reverse()
-
-    options = []
-    for cut_parent, cut_child, z in path:
-        # side of cut_child after removing the cut edge (the atom graph
-        # restricted to a component is a tree, so skipping the cut edge
-        # separates the two sides)
-        side = {cut_child}
-        stack = [cut_child]
-        while stack:
-            n = stack.pop()
-            for m, _ in adj[n]:
-                if n == cut_child and m == cut_parent:
-                    continue
-                if m not in side:
-                    side.add(m)
-                    stack.append(m)
-        g2 = sorted(side)
-        g1 = [i for i in range(len(body)) if i not in side]
-        options.append((g1, g2, z))
-        options.append((g2, g1, z))
-    return options
+    cuts = []
+    for i, atom in enumerate(body):
+        for z in atom.args:
+            cut = _incidence_links(body, cut=(i, z))
+            if cut.find(start) == cut.find(z) != cut.find(i) == \
+                    cut.find(goal):
+                g2 = [j for j in atoms if cut.find(j) == cut.find(goal)]
+                g1 = [j for j in atoms if j not in g2]
+                cuts.append((g1, g2, z))
+    # nested cuts: group 2 shrinks from the first input toward the second
+    cuts.sort(key=lambda c: -len(c[1]))
+    return [opt for g1, g2, z in cuts for opt in ((g1, g2, z), (g2, g1, z))]
 
 
 def to_simple_tam(P: Program) -> Program:
     """Equivalent simple program: exactly one input atom per rule body.
 
-    Phase 1 splits rules with two or more input atoms using a fresh aux
-    relation articulated at position 1; phase 2 extends input-free rule
-    bodies with an input atom at an articulated body variable, in all
-    possible ways.  Connectedness is preserved.
+    Repeated atoms of a body are dropped first.  Phase 1 then splits rules
+    with two or more input atoms on their body's incidence forest (see
+    ``_split_rule``), using a fresh aux relation articulated at position 1;
+    phase 2 extends input-free rule bodies with an input atom at an
+    articulated body variable, in all possible ways.  Connectedness is
+    preserved.
     """
     cls = classify(P)
     if not cls.tam:
@@ -599,10 +560,10 @@ def to_simple_tam(P: Program) -> Program:
     in_names = set(P.s_in.names)
     taken = set(P.full_schema().names)
     aux = P.s_aux.as_dict()
-    rules = list(P.rules)
 
     # phase 1: at most one input atom per body
-    queue = rules
+    queue = [Rule(r.head_atoms, tuple(dict.fromkeys(r.body_atoms)),
+                  r.existentials) for r in P.rules]
     rules = []
     while queue:
         rule = queue.pop(0)
@@ -670,35 +631,14 @@ def to_simple_tam(P: Program) -> Program:
 
     # phase 2: no input-free bodies
     expanded = []
-    positions = [
-        (rel, i) for rel, arity in P.s_in.relations
-        for i in range(1, arity + 1)
-    ]
     for rule in rules:
-        n_inputs = sum(1 for a in rule.body_atoms if a.rel in in_names)
-        if n_inputs >= 1 or not positions:
+        anchor = next((atom.args[art[atom.rel] - 1]
+                       for atom in rule.body_atoms if atom.rel in art), None)
+        if any(a.rel in in_names for a in rule.body_atoms) or anchor is None:
             expanded.append(rule)
-            continue
-        anchor = None
-        for atom in rule.body_atoms:
-            pos = art.get(atom.rel)
-            if pos is not None:
-                anchor = atom.args[pos - 1]
-                break
-        if anchor is None:
-            expanded.append(rule)
-            continue
-        local = set(rule.all_vars())
-        for rel, pos in positions:
-            args = []
-            inner = set(local)
-            for i in range(1, P.s_in.arity(rel) + 1):
-                args.append(anchor if i == pos else _fresh_var("w", inner))
-            expanded.append(Rule(
-                rule.head_atoms,
-                rule.body_atoms + (Atom(rel, tuple(args)),),
-                rule.existentials,
-            ))
+        else:
+            # with no input position there is nothing to anchor to
+            expanded += _anchor_in_inputs(rule, [anchor], P.s_in) or [rule]
     rules = expanded
 
     rules = sorted(rules, key=lambda r: r.canonical_str())

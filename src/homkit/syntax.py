@@ -265,7 +265,7 @@ def parse_instance(text: str) -> Instance:
         toks.next()
         toks.expect("sym", ":")
         while toks.peek()[0] in ("ident", "null", "bot") or \
-                toks.peek() == toks.peek() and toks.peek()[1] == "(":
+                toks.peek()[1] == "(":
             if toks.peek()[1] == "points":
                 break
             if toks.peek()[0] == "ident" and toks.peek(1)[1] == "(":

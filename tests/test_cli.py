@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -15,6 +17,7 @@ from conftest import (
     make_slow_answer_program,
     make_tc_program,
 )
+import homkit
 from homkit.automata import print_automaton
 from homkit.cli import main
 from homkit.syntax import print_instance, print_program, print_query, \
@@ -129,6 +132,28 @@ def test_adjoint(files, capsys, tmp_path):
     validate(payload, "adjoint.json")
     assert (out / "member_0.inst").exists()
     assert (out / "member_0.iota.json").exists()
+
+
+def test_adjoint_of_a_star_body(tmp_path):
+    # x occurs in all three body atoms; the simple normal form must finish,
+    # so the command runs in its own process under a timeout
+    (tmp_path / "star.dl").write_text(
+        "program\nin: E/2\nout: Ans/1\nrules\n"
+        "Ans(x) :- E(x,y), E(x,z), E(x,w).\n")
+    (tmp_path / "j.inst").write_text(
+        "instance over Ans/1\ndomain: a, b\nAns(a).\n")
+    src = str(pathlib.Path(homkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "homkit.cli", "adjoint",
+         str(tmp_path / "star.dl"), str(tmp_path / "j.inst"),
+         "--verify", "3", "--json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["members"] and payload["verified"]["passed"]
 
 
 def test_chase_modes(files, capsys):

@@ -1,5 +1,6 @@
 """Every name a homkit module imports is used somewhere in that module,
-every parameter of a homkit function is read in its body, and the oracle
+every parameter of a homkit function is read in its body, every private
+module-level function is named outside its own definition, and the oracle
 imports none of the constructions it checks."""
 
 import ast
@@ -103,3 +104,48 @@ def test_no_unread_parameters():
     unread = {path.name: found for path in sorted(SRC.glob("*.py"))
               if (found := _unread_parameters(path.read_text()))}
     assert unread == {}
+
+
+def _dead_helpers(sources: dict) -> list:
+    """(module, line, name) for each private module-level function that no
+    code of the given modules names outside the function's own definition;
+    an import of the name counts."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            inside = {id(n) for n in ast.walk(fn)}
+            named = any(
+                fn.name in (getattr(n, "id", None), getattr(n, "attr", None),
+                            getattr(n, "name", None))
+                for other in trees.values() for n in ast.walk(other)
+                if id(n) not in inside
+                and isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+            if not named:
+                found.append((module, fn.lineno, fn.name))
+    return found
+
+
+def test_dead_helper_detector():
+    sources = {
+        "a": ("def _used():\n    pass\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _imported():\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "class K:\n    def _method(self):\n        pass\n"),
+        "b": ("from a import _imported\nimport a\n"
+              "def public():\n    return a._used\n"
+              "def _unused():\n    pass\n"),
+    }
+    assert _dead_helpers(sources) == [("a", 3, "_recursive"),
+                                      ("b", 5, "_unused")]
+
+
+def test_no_dead_helpers():
+    sources = {path.name: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert _dead_helpers(sources) == []

@@ -137,6 +137,18 @@ def test_abox_verify_needs_a_dependency_set():
                        category="abox")
 
 
+def test_abox_frontier_hit_does_not_stop_at_an_unknown_member():
+    # under E(x,y) -> exists z : E(y,z), whether the 2-cycle maps into the
+    # chase of E(e1,e2) is unknown, while the edge maps into it; any
+    # member's "yes" decides, whatever the frontier's order
+    sigma = sigma2("E")
+    F = [digraph([("a", "b"), ("b", "a")]), digraph([("a", "b")])]
+    D = [digraph([], extra=["a"])]
+    for frontier in (F, F[::-1]):
+        v = verify_duality(frontier, D, 2, sigma=sigma, category="abox")
+        assert v.passed and not v.unknown
+
+
 # ---------------------------------------------------------------------------
 # ABox morphisms
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Classification, normal forms, reductions, unfoldings, compilation."""
 
+import contextlib
+import random
+import signal
+
 import pytest
 
 from conftest import (
@@ -88,6 +92,52 @@ def test_to_simple_tam_preserves_semantics(tc_program):
     assert cls.simple and cls.tam
     from homkit.oracle import programs_equivalent_bounded
     assert programs_equivalent_bounded(tc_program, simple, B=3)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _star_program(body: str) -> Program:
+    return parse_program(
+        f"program\nin: U/1, E/2\nout: Ans/1\nrules\nAns(x) :- {body}.\n")
+
+
+@pytest.mark.parametrize("body", ["U(x), E(x,y), E(x,z)",
+                                  "E(x,y), E(x,z), E(x,w)"])
+def test_to_simple_tam_splits_star_bodies(body):
+    # x occurs in three atoms, so the atom graph has a triangle; the split
+    # runs on the incidence forest and every piece keeps an input atom
+    P = _star_program(body)
+    with _deadline(20):
+        simple = to_simple_tam(P)
+    assert classify(simple).simple
+    rng = random.Random(8)
+    elems = [Element.named(n) for n in "abcd"]
+    for _ in range(15):
+        facts = [("E", (u, v)) for u in elems for v in elems
+                 if rng.random() < 0.3]
+        facts += [("U", (u,)) for u in elems if rng.random() < 0.5]
+        I = Instance(P.s_in, elems, facts)
+        assert run_program(simple, I).output.facts == \
+            run_program(P, I).output.facts
+
+
+def test_to_simple_tam_drops_repeated_atoms():
+    with _deadline(20):
+        assert to_simple_tam(_star_program("E(x,y), E(x,y), E(y,z)")) == \
+            to_simple_tam(_star_program("E(x,y), E(y,z)"))
 
 
 def test_unfoldings_two_instances():
