@@ -127,22 +127,6 @@ def _maximal_cliques(adj: dict) -> Iterator[frozenset]:
         yield from expand(frozenset(), set(adj), set())
 
 
-def _pair_candidates(D, aux_schema: Schema, art: dict):
-    """For each base element b: the aux facts over D with b in articulation
-    position, in canonical order."""
-    out = {}
-    for b in D:
-        facts = []
-        for rel, arity in aux_schema.relations:
-            pos = art[rel] - 1
-            rest = arity - 1
-            for combo in itertools.product(D, repeat=rest):
-                args = list(combo[:pos]) + [b] + list(combo[pos:])
-                facts.append((rel, tuple(args)))
-        out[b] = sorted(facts, key=lambda f: (f[0], [e.ser for e in f[1]]))
-    return out
-
-
 def tam_adjoint(P: Program, J: Instance,
                 cap: int = DEFAULT_FACT_CAP) -> AdjointResult:
     """Right adjoint of a tree-shaped almost-monadic Datalog program.
@@ -150,9 +134,18 @@ def tam_adjoint(P: Program, J: Instance,
     Members are built over pair elements (b, X): a base element of
     domain(J) ∪ {⊥} together with a set of aux facts carrying b in
     articulation position.  An input fact over such elements is accepted when
-    the closure conditions induced by the (simple-normal-form) rules hold.
-    Disconnected programs are first made connected with a fresh binary
-    connector relation; members are then the connector-clique components.
+    the closure conditions induced by the (simple-normal-form) rules hold:
+    for every rule whose input atom matches the fact's bases, and every
+    choice of one fact from X_j for each body aux atom j (X_j being the
+    pair element at the atom's articulated variable), the head instantiated
+    by that choice lies in J, or, for an aux head, in the X of the element
+    at its articulated variable.  This reads every body match off the pair
+    elements exactly: under the total articulation witness each
+    non-articulated variable of a body aux atom occurs once in the body,
+    and each articulated one lies in the input atom and agrees with X's
+    base, so the choices never conflict.  Disconnected programs are first
+    made connected with a fresh binary connector relation; members are then
+    the connector-clique components.
     """
     if J.schema.relations != P.s_out.relations:
         raise AdjointError("J must be an instance over the output schema")
@@ -177,22 +170,21 @@ def tam_adjoint(P: Program, J: Instance,
         raise AdjointError("no total articulation witness exists")
 
     D = sorted(J.domain) + [BOTTOM]
-    per_base = _pair_candidates(D, simple.s_aux, art)
-
-    # candidate pair elements per base, as (base, frozenset-of-facts)
-    elems_per_base = {}
-    total_elems = 0
+    # every pair element (b, X), X a set of aux facts over D with b in
+    # articulation position
+    pool = []
     for b in D:
-        n = len(per_base[b])
+        cands = sorted(
+            ((rel, args) for rel, arity in simple.s_aux.relations
+             for args in itertools.product(D, repeat=arity)
+             if args[art[rel] - 1] == b),
+            key=lambda f: (f[0], [e.ser for e in f[1]]))
+        n = len(cands)
         if n > 60 or 2 ** n > cap:
             raise CapExceeded(
                 f"pair-element enumeration too large: 2^{n} subsets")
-        subsets = []
-        for r in range(n + 1):
-            for combo in itertools.combinations(per_base[b], r):
-                subsets.append(frozenset(combo))
-        elems_per_base[b] = subsets
-        total_elems += len(subsets)
+        pool += [Element.pair(b, x) for r in range(n + 1)
+                 for x in itertools.combinations(cands, r)]
 
     j_facts = set(J.facts)
     rules_by_input: dict[str, list] = {}
@@ -220,56 +212,33 @@ def tam_adjoint(P: Program, J: Instance,
         else:
             p0 = None
         rules_by_input.setdefault(input_atom.rel, []).append(
-            (rule, input_atom, aux_atoms, head, p, p0))
+            (input_atom, aux_atoms, head, p, p0))
 
     def fact_ok(rel: str, elems: tuple[Element, ...]) -> bool:
-        bases = [e.base for e in elems]
-        xsets = [e.facts for e in elems]
-        for rule, input_atom, aux_atoms, head, p, p0 in \
-                rules_by_input.get(rel, ()):
+        for input_atom, aux_atoms, head, p, p0 in rules_by_input.get(rel, ()):
             pin = {}
-            conflict = False
-            for var, val in zip(input_atom.args, bases):
-                if pin.get(var, val) != val:
-                    conflict = True
-                    break
-                pin[var] = val
-            if conflict:
+            if any(pin.setdefault(var, e.base) != e.base
+                   for var, e in zip(input_atom.args, elems)):
                 continue
-            free = sorted(
-                v for v in rule.all_vars() if v not in pin)
-            for combo in itertools.product(D, repeat=len(free)):
+            choices = [[args for r, args in elems[pi].facts if r == atom.rel]
+                       for atom, pi in zip(aux_atoms, p)]
+            target = j_facts if p0 is None else elems[p0].facts
+            for match in itertools.product(*choices):
                 g = dict(pin)
-                g.update(zip(free, combo))
-                if all(
-                    (atom.rel, tuple(g[v] for v in atom.args)) in xsets[pi]
-                    for atom, pi in zip(aux_atoms, p)
-                ):
-                    concl = (head.rel, tuple(g[v] for v in head.args))
-                    if p0 is not None:
-                        if concl not in xsets[p0]:
-                            return False
-                    elif concl not in j_facts:
-                        return False
+                for atom, args in zip(aux_atoms, match):
+                    g.update(zip(atom.args, args))
+                if (head.rel, tuple(g[v] for v in head.args)) not in target:
+                    return False
         return True
 
     facts = []
     for rel, arity in simple.s_in.relations:
-        count = 1
-        for _ in range(arity):
-            count *= total_elems
-        if count > cap:
+        if len(pool) ** arity > cap:
             raise CapExceeded(
                 f"candidate fact enumeration for {rel} exceeds cap {cap}")
-        pools = []
-        for _ in range(arity):
-            pools.append([
-                Element.pair(b, x)
-                for b in D for x in elems_per_base[b]
-            ])
-        for elems in itertools.product(*pools):
-            if fact_ok(rel, elems):
-                facts.append((rel, elems))
+        facts += [(rel, elems)
+                  for elems in itertools.product(pool, repeat=arity)
+                  if fact_ok(rel, elems)]
 
     domain = {e for _, args in facts for e in args}
     domain.update(Element.pair(b, frozenset()) for b in D)

@@ -47,10 +47,15 @@ class Schema:
     relations: tuple[tuple[str, int], ...]
 
     def __init__(self, relations):
-        items = dict(relations)
-        for name, arity in items.items():
+        items = {}
+        pairs = relations.items() if isinstance(relations, dict) \
+            else relations
+        for name, arity in pairs:
             if arity < 0:
                 raise HomkitError(f"negative arity for relation {name}")
+            if items.setdefault(name, arity) != arity:
+                raise SchemaMismatch(
+                    f"relation {name} has conflicting arities")
         object.__setattr__(
             self, "relations", tuple(sorted(items.items()))
         )
@@ -78,12 +83,7 @@ class Schema:
         return Schema([(r, a) for r, a in self.relations if r in keep])
 
     def union(self, other: "Schema") -> "Schema":
-        merged = self.as_dict()
-        for rel, ar in other.relations:
-            if rel in merged and merged[rel] != ar:
-                raise SchemaMismatch(f"relation {rel} has conflicting arities")
-            merged[rel] = ar
-        return Schema(merged)
+        return Schema(self.relations + other.relations)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,7 @@ def dual_from_program(P: Program, R: str, cap: int = 10 ** 6) -> Duality:
                     for i in block:
                         by_pos[i] = e
                 combo = tuple(by_pos[i] for i in range(k))
-                cand = fold_reduce(
-                    adom_instance(j_prime.with_points(combo)))
-                if not cand.domain:
-                    # keep fact-free duals nonempty so that fact-free
-                    # instances still map into them
-                    cand = Instance(cand.schema, [extra], [], cand.points)
+                cand = _reduced(j_prime.with_points(combo))
                 key = cand.canonical_key()
                 if key in seen:
                     continue
@@ -144,7 +139,10 @@ def fold_reduce(I: Instance) -> Instance:
     """Shrink an instance by folding: map an element u onto v whenever the
     substitution preserves every fact.  Each fold is a retraction, so the
     result is pointed-homomorphically equivalent to the input.  Search-free,
-    so it scales to instances far beyond exhaustive core computation."""
+    so it scales to instances far beyond exhaustive core computation.
+
+    A fold is taken only when every substituted fact is already present,
+    so it just deletes u and its incident facts."""
     facts = set(I.facts)
     domain = sorted(I.domain)
     points = set(I.points)
@@ -158,32 +156,28 @@ def fold_reduce(I: Instance) -> Instance:
         for u in list(domain):
             if u in points:
                 continue
-            for v in domain:
-                if v is u or v == u:
-                    continue
-                ok = True
-                for rel, args in incident[u]:
-                    sub = (rel, tuple(v if a == u else a for a in args))
-                    if sub not in facts:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for f in list(incident[u]):
-                    rel, args = f
-                    facts.discard(f)
-                    for a in set(args):
+            if not any(v != u and all(
+                    (rel, tuple(v if a == u else a for a in args)) in facts
+                    for rel, args in incident[u]) for v in domain):
+                continue
+            for f in incident.pop(u):
+                facts.discard(f)
+                for a in f[1]:
+                    if a != u:
                         incident[a].discard(f)
-                    sub = (rel, tuple(v if a == u else a for a in args))
-                    if sub not in facts:
-                        facts.add(sub)
-                        for a in set(sub[1]):
-                            incident[a].add(sub)
-                domain.remove(u)
-                del incident[u]
-                changed = True
-                break
+            domain.remove(u)
+            changed = True
     return Instance(I.schema, domain, facts, I.points)
+
+
+def _reduced(cand: Instance) -> Instance:
+    """The folded active-domain part of a candidate dual; a fact-free
+    result keeps one element c, so that fact-free instances still map
+    into it."""
+    cand = fold_reduce(adom_instance(cand))
+    if not cand.domain:
+        cand = Instance(cand.schema, [Element.named("c")], [], cand.points)
+    return cand
 
 
 def _admit_dual(kept: list, cand: Instance) -> list:
@@ -289,11 +283,7 @@ def _theory_duals(sigma, F_spec, adjoint_program, cap,
                 cand = renamed.with_points(combo)
                 if chase_duals:
                     cand, _ = chase_theory(P_sigma, cand)
-                cand = fold_reduce(adom_instance(cand))
-                if not cand.domain:
-                    cand = Instance(cand.schema, [Element.named("c")],
-                                    [], cand.points)
-                duals = _admit_dual(duals, cand)
+                duals = _admit_dual(duals, _reduced(cand))
     duals.sort(key=lambda d: d.canonical_key())
     return tuple(duals), P_sigma
 

@@ -848,24 +848,6 @@ def _standardize(rule: Rule, suffix: str) -> Rule:
                 tuple(sub[v] for v in rule.existentials))
 
 
-def _unify_args(args1, args2) -> Optional[dict]:
-    """Most general unifier of two variable tuples (variables only)."""
-    parent: dict[str, str] = {}
-
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in zip(args1, args2):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return {v: find(v) for v in parent}
-
-
 def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
     """Pointed canonical instances of input-only derivable rules with head
     relation R, reachable in at most ``depth`` substitution steps,
@@ -918,16 +900,15 @@ def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
                         continue
                     counter += 1
                     r = _standardize(rule, f"s{counter}")
-                    sub = _unify_args(atom.args, r.head_atoms[0].args)
-
-                    def ap(v):
-                        return sub.get(v, v)
-
+                    # most general unifier of the atom and the rule head
+                    uf = _UnionFind()
+                    for a, b in zip(atom.args, r.head_atoms[0].args):
+                        uf.union(a, b)
                     new_body = tuple(
-                        Atom(a.rel, tuple(ap(v) for v in a.args))
+                        Atom(a.rel, tuple(uf.find(v) for v in a.args))
                         for a in body[:bi] + body[bi + 1:] + r.body_atoms
                     )
-                    new_head = tuple(ap(v) for v in head_args)
+                    new_head = tuple(uf.find(v) for v in head_args)
                     new_frontier.append((new_head, new_body))
         frontier = new_frontier
         if not frontier:

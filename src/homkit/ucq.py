@@ -26,7 +26,8 @@ from .core import (
     structure_report,
 )
 from .duality import abox_dual, dual_wrt_theory
-from .oracle import Verdict, _abox_chase, _abox_decide, verify_duality
+from .oracle import Verdict, _abox_chase, _abox_decide, _some_yes, \
+    verify_duality
 from .program import Atom, canonical_instance, tgd_compile, tgd_schema
 
 
@@ -203,9 +204,10 @@ def _misfit(q: UCQ, ex: ExampleSet):
             got = "yes" if hit else "no"
         else:
             A_chase = _abox_chase(P_sigma, A)
-            got = min((_abox_decide(P_sigma, ci, ci_chase, A, A_chase, {})
-                       for ci, ci_chase in zip(sources, source_chases)),
-                      key=("yes", "unknown", "no").index, default="no")
+            hit = _some_yes(
+                _abox_decide(P_sigma, ci, ci_chase, A, A_chase, {})
+                for ci, ci_chase in zip(sources, source_chases))
+            got = {True: "yes", None: "unknown", False: "no"}[hit]
         if got != want:
             return A, got
     return None

@@ -331,3 +331,18 @@ def test_verify_abox_duality_without_theory_is_a_usage_error(files, capsys):
                  "-B", "1"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ")
+
+
+def test_conflicting_arities_exit_2(files, capsys, tmp_path):
+    (tmp_path / "bad.inst").write_text("instance over E/1, E/2\nE(a,b).\n")
+    (tmp_path / "bad.dl").write_text(
+        "program\nin: E/1, E/2\nout: Ans/0\nrules\nAns() :- E(x,y).\n")
+    (tmp_path / "bad.aut").write_text(
+        "automaton over E/1, E/2\nlabels: X1\nstates: q0\naccept: q0\n"
+        "leaf {} -> q0\n")
+    for argv in (["hom", str(tmp_path / "bad.inst"),
+                  str(files / "path.inst")],
+                 ["classify", str(tmp_path / "bad.dl")],
+                 ["automaton", "compile", str(tmp_path / "bad.aut")]):
+        assert main(argv) == 2
+        assert "conflicting arities" in capsys.readouterr().err

@@ -1,0 +1,208 @@
+"""Golden ``--json`` output: the sha256 of stdout and the exit code of
+in-process ``homkit`` runs for the adjoint and duality commands.
+
+The digests pin the JSON output byte for byte.  They were taken from the
+code before the pair-element adjoint was rewritten to enumerate facts
+instead of variable assignments; a mismatch means the output changed, and
+the digest must not be regenerated to make the test pass.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+
+import pytest
+
+from conftest import (
+    digraph,
+    make_disconnected_program,
+    make_path_program,
+    make_sigma1_rewrite,
+    make_symmetric_closure,
+    make_tc_program,
+    make_unfold_program,
+    sigma1,
+    sigma2,
+)
+from homkit.cli import main
+from homkit.core import Element, Instance
+from homkit.syntax import print_instance, print_program, print_tgds
+
+PROGRAMS = {
+    "disconnected": make_disconnected_program(),
+    "path1": make_path_program(1),
+    "path2": make_path_program(2),
+    "path3": make_path_program(3),
+    "rewrite": make_sigma1_rewrite("E"),
+    "symmetric": make_symmetric_closure(),
+    "tc": make_tc_program(),
+    "unfold": make_unfold_program(),
+}
+
+
+def _js(P) -> dict:
+    """Three instances over P's output schema: every fact over one element,
+    no fact over two, and every fact over two but the one (a, b, b, ...)."""
+    a, b = Element.named("a"), Element.named("b")
+    out = {}
+    for name, dom in (("loop", [a]), ("empty", [a, b]), ("most", [a, b])):
+        facts = []
+        if name != "empty":
+            for rel, arity in P.s_out.relations:
+                drop = (a,) + (b,) * (arity - 1) if arity else None
+                facts += [(rel, t)
+                          for t in itertools.product(dom, repeat=arity)
+                          if name == "loop" or t != drop]
+        out[name] = Instance(P.s_out, dom, facts)
+    return out
+
+
+def _write_files(d):
+    for name, P in PROGRAMS.items():
+        (d / f"{name}.dl").write_text(print_program(P))
+        for jname, J in _js(P).items():
+            (d / f"{name}.{jname}.inst").write_text(print_instance(J))
+    (d / "edge.inst").write_text(print_instance(digraph([("a", "b")])))
+    (d / "path.inst").write_text(print_instance(
+        digraph([("a", "b"), ("b", "c")])))
+    (d / "ppath.inst").write_text(print_instance(
+        digraph([("a", "b"), ("b", "c")], points=("a",))))
+    (d / "sigma1.tgd").write_text(print_tgds(sigma1("E")))
+    (d / "sigma2.tgd").write_text(print_tgds(sigma2("E")))
+
+
+def _cases() -> dict:
+    cases = {}
+    for name, P in PROGRAMS.items():
+        for jname in _js(P):
+            cases[f"adjoint-{name}-{jname}"] = (
+                "adjoint", f"{name}.dl", f"{name}.{jname}.inst")
+        # the unfold program's dual takes minutes: the adjoint of its
+        # two-element forbidden-tuple instance has too many pair elements
+        for rel in P.s_out.names if name != "unfold" else ():
+            cases[f"dualize-{name}-{rel}"] = (
+                "dualize", "--program", f"{name}.dl", "--rel", rel)
+    for inst in ("edge", "path", "ppath"):
+        cases[f"frontier-{inst}-sigma1"] = (
+            "dualize", "--frontier", f"{inst}.inst", "--theory",
+            "sigma1.tgd", "--adjoint-program", "rewrite.dl")
+        cases[f"frontier-{inst}-sigma2-abox"] = (
+            "dualize", "--frontier", f"{inst}.inst", "--theory",
+            "sigma2.tgd", "--abox")
+        cases[f"frontier-{inst}-minimize"] = (
+            "dualize", "--frontier", f"{inst}.inst", "--minimize")
+    return cases
+
+
+CASES = _cases()
+
+# sha256 of stdout per case; every case exits 0
+GOLDEN = {
+    "adjoint-disconnected-empty":
+        "511c80237c22028e18a2e638bb31c5a2350c04d6ec7f17e97a916772d5f8676d",
+    "adjoint-disconnected-loop":
+        "bbd148f847e435cdf8443d51fd6174b2354d4bf45210aa38fce06138dac61508",
+    "adjoint-disconnected-most":
+        "6124e6b432682c1a2d5de6c325ee10119f36d29e3992424636313b132e04181e",
+    "adjoint-path1-empty":
+        "b3057b3b52e84411b9c1fe98e341c7f8f460e00254377e12513354dd6a670887",
+    "adjoint-path1-loop":
+        "64dd487fa9af350c908c1a60763bbbb6a46fb31265eb4fba7ec50dc23dacbef5",
+    "adjoint-path1-most":
+        "454b010dd471087e20fff7a1ea61b10adb3b3db18a743e25623f0e1e526098c5",
+    "adjoint-path2-empty":
+        "03a70dd6b04cd759a8293f46ce6fe38030611d4405dc365a00cf3cfbe9187c8d",
+    "adjoint-path2-loop":
+        "acc3ad1553b2f59e52d67ee4829740245ad6728bf6e32a6df9e68767c9f95f17",
+    "adjoint-path2-most":
+        "fe06d03b9a12c4f147b1582e5bc368abad65ab3fca398e29e89c3a00ba27ea88",
+    "adjoint-path3-empty":
+        "4e85a02d8c2c26bfe0a2b7a6e3feac073c163676138d003b9ce90f48cebc1fbc",
+    "adjoint-path3-loop":
+        "ec362f99419ad46d3d1f4ceaeaccedfd5acf25a3d50eac04691ecf89730d6910",
+    "adjoint-path3-most":
+        "4eabd1e927e84f0a0548f5fa81d9c5325be032c33feb602343837451f802fe7d",
+    "adjoint-rewrite-empty":
+        "f11aa1d789920ca71fde19ab4ef83d120c3a632fa9e9052268b5590a6fe09e82",
+    "adjoint-rewrite-loop":
+        "91ac98a01e290e55ba27da326d4470edfbf63955d4cfe24393d1ff24f851a5c8",
+    "adjoint-rewrite-most":
+        "407d39a1a688a99a83799938635f7030452d11007360089e06b72f57c43be8a7",
+    "adjoint-symmetric-empty":
+        "b79987c78cadabfc394412d19790b2d47a84d94462b694206d85b55d78b99079",
+    "adjoint-symmetric-loop":
+        "5ea834598d89d38d1e895d6021980ddf91ffe1ba205f9b519cb2b480509b7313",
+    "adjoint-symmetric-most":
+        "85b10d72f7129b88c9ededa4b04c1c5aa0c959151e64241454f62fb6caea6104",
+    "adjoint-tc-empty":
+        "b3057b3b52e84411b9c1fe98e341c7f8f460e00254377e12513354dd6a670887",
+    "adjoint-tc-loop":
+        "d73a7ea2e5fd92276687bfc5f72ffde29f11d47d61e1f1d2a20a0028038ad5f1",
+    "adjoint-tc-most":
+        "b9242ab61915d3371ebfd2dbea540d65e0259cc1c011543775ddd35d55704ec4",
+    "adjoint-unfold-empty":
+        "598f93380f8d2aeb9c9b6ff3cb39ca5dafaa30f4e921c8a3ba5d45649c0506d7",
+    "adjoint-unfold-loop":
+        "42483eb42469749942432a513047babdd956256211369aa170aa7f6f8ad3cc21",
+    "adjoint-unfold-most":
+        "665f5a70f72c4333f9e8a91f51d724cdd2ce13e6b21539428f0c29f4e7ce3b96",
+    "dualize-disconnected-Q3":
+        "6bc83f1081ea887027d3a7c12a3c51dbef6f4f6ddb9010b2888cd8f2fe21da19",
+    "dualize-path1-Ans":
+        "5141c5b648dfd66f61a653d08cf611b6b18b24b68cf6589d471eccff539618f5",
+    "dualize-path2-Ans":
+        "03c76822aa1dc2cf2af498aa9731301501280fcac6d8eec9d25ca93090f040e7",
+    "dualize-path3-Ans":
+        "3f221f42a02c5b04b7fadf1ad29e737bbe2986c76ac55da9cd7aa8ee4084aa01",
+    "dualize-rewrite-E_out":
+        "8890cd913345ad9e508ec5f72828f31f8acbc325157feeec4aa334ec14eb02fd",
+    "dualize-symmetric-S":
+        "0dff94c1d0c413198155e21440dabfec4c58ea2c6ccfec154ca7291e7206b7c3",
+    "dualize-tc-Ans":
+        "6e7fd9e58dd71be948685d0080c67abc33622a07c77629aeedacb837dae9ab98",
+    "frontier-edge-minimize":
+        "8713de6b128b645af3b2c184d147aa7fe94920e425802edf9bed92526203f4d4",
+    "frontier-edge-sigma1":
+        "ebfb8ddea9a0a4d24ac5929497a438ab84368543b8c098e98189a0764c88ce51",
+    "frontier-edge-sigma2-abox":
+        "c2440dbfba30e5bac80a8616ad4ed75c8fd149f87efa0f01d97f85b0dfb512f1",
+    "frontier-path-minimize":
+        "ec74d8776f80717efb3d506e79c3d2b5180da8137524e8294569d3d6d7224e6d",
+    "frontier-path-sigma1":
+        "8214a1ce1efdbf370c343b31a598a06ff79189e5a0979c20d58d97d9a4cd63d4",
+    "frontier-path-sigma2-abox":
+        "6347033151c252dc9bd7e3b0d3dec0973c322e15262b7cfddf7e8b5187248e83",
+    "frontier-ppath-minimize":
+        "de244924e75035fab87eb12ec29bdfe55123e33a2f9227dcc924bb9dd018c8af",
+    "frontier-ppath-sigma1":
+        "a43fa7dd4d5fe1f8976fcacc1b1ffec43796985c7309acbedf2c334b7ed18c56",
+    "frontier-ppath-sigma2-abox":
+        "54bc197aa96e19cffbed50bc0a307975acf09b1a65c1f5e121ddbdb0041c5610",
+}
+
+
+def run_case(d, name: str) -> tuple:
+    """(exit code, sha256 of stdout) of one case run in-process."""
+    argv = [str(d / a) if a.endswith((".dl", ".inst", ".tgd")) else a
+            for a in CASES[name]]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--json"])
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    _write_files(d)
+    return d
+
+
+def test_every_case_has_a_digest():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_is_unchanged(golden_dir, name):
+    assert run_case(golden_dir, name) == (0, GOLDEN[name])

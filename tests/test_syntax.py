@@ -7,7 +7,7 @@ import pytest
 from conftest import make_tc_program, sigma1, sigma2
 from homkit.automata import parse_automaton, parse_term, print_automaton
 from homkit.automata import leaf, node
-from homkit.core import Element, Instance, Schema
+from homkit.core import Element, HomkitError, Instance, Schema
 from homkit.program import Atom
 from homkit.syntax import (
     ParseError,
@@ -148,3 +148,22 @@ def test_json_rendering_stable():
     I = parse_instance("instance over E/2\ndomain: a b\nE(a,b).\n")
     j = instance_json(I)
     assert j["facts"] == ["E(a,b)"] and j["points"] == []
+
+
+CONFLICTING = [
+    (parse_instance, "instance over E/1, E/2\nE(a,b).\n"),
+    (parse_program,
+     "program\nin: E/1, E/2\nout: Ans/0\nrules\nAns() :- E(x,y).\n"),
+    (parse_automaton,
+     "automaton over E/1, E/2\nlabels: X1\nstates: q0\naccept: q0\n"
+     "leaf {} -> q0\n"),
+]
+
+
+@pytest.mark.parametrize("parse, text", CONFLICTING,
+                         ids=("instance", "program", "automaton"))
+def test_conflicting_arities_are_rejected(parse, text):
+    with pytest.raises(HomkitError, match="conflicting arities"):
+        parse(text)
+    # a repeated declaration with the same arity is accepted
+    parse(text.replace("E/1, E/2", "E/2, E/2"))

@@ -205,3 +205,24 @@ def test_abox_fits_compiles_once_and_chases_each_example_once(monkeypatch):
     assert all(chased.count(id(A)) == 1 for A in examples)
     # and each disjunct's canonical instance once
     assert len(chased) == len(examples) + len(q.disjuncts)
+
+
+def test_abox_fit_stops_at_the_first_yes(monkeypatch):
+    # the edge disjunct holds; the triangle disjunct would be "unknown" in
+    # the never-terminating chase, so it must not be decided at all
+    q = UCQ("q", 0, (
+        CQ((), (Atom("E", ("x", "y")),)),
+        CQ((), (Atom("E", ("x", "y")), Atom("E", ("y", "z")),
+                Atom("E", ("z", "x"))))))
+    ex = ExampleSet((digraph([("a", "b")]),), (), mode="abox",
+                    theory=sigma2("E"))
+    answers = []
+    real_decide = ucq._abox_decide
+
+    def counted_decide(*args):
+        answers.append(real_decide(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(ucq, "_abox_decide", counted_decide)
+    assert fits(q, ex)
+    assert answers == ["yes"]
