@@ -81,12 +81,15 @@ def _connect_rules(P: Program) -> tuple[Program, str]:
         if len(comps) <= 1:
             new_rules.append(rule)
             continue
+        # a variable of an input atom keeps aux variables off the connector
+        in_vars = {v for a in rule.body_atoms if a.rel in P.s_in
+                   for v in a.args}
         reps = []
         for comp in comps:
             if not comp:
                 raise AdjointError(
                     "cannot connect a rule with a variable-free body atom")
-            reps.append(sorted(comp)[0])
+            reps.append(min(comp & in_vars or comp))
         extra = tuple(
             Atom(conn, (reps[i], reps[i + 1])) for i in range(len(reps) - 1)
         )

@@ -9,11 +9,23 @@ In the ABox category of a dependency set, a morphism A -> B is a map that
 extends to a homomorphism of the chases; by universality of the chase that
 holds exactly when A maps into the chase of B, so one homomorphism search
 into B's chase decides it (Fagin, Kolaitis, Miller and Popa, TCS 2005).
+
+The duality and adjoint verdicts are invariant under isomorphism of the
+enumerated instance whenever every chase they read runs to its fixpoint
+(``Program.terminates``).  Then they check only the first labeled member
+of each isomorphism class, and, for point tuples, only the least tuple of
+each orbit under the instance's automorphisms (orderly generation: Read,
+"Every one a winner", 1978; McKay, J. Algorithms 1998).  The first failing
+pair in labeled order is such a pair, so the counterexample is the one
+the labeled loop finds.  A chase cut off at its round bound is a prefix
+that can depend on element names, so then every labeled instance is
+checked.  ``enumerate_instances`` still yields every labeled instance.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -133,6 +145,59 @@ def enumerate_instances(schema: Schema, max_domain: int,
                         P_sigma):
                     continue
                 yield C
+
+
+def _permutation_table(schema: Schema, m: int) -> tuple[dict, list]:
+    """The fact index map over {e1..em} and every permutation of it as
+    (element map, action on fact indices); no permutations when there are
+    more of them than instances with m elements."""
+    elems = [Element.named(f"e{i}") for i in range(1, m + 1)]
+    candidates = _all_facts(schema, elems)
+    index = {f: i for i, f in enumerate(candidates)}
+    if math.factorial(m) > 2 ** len(candidates):
+        return index, []
+    perms = []
+    for images in itertools.permutations(elems):
+        pi = dict(zip(elems, images))
+        perms.append((pi, [index[rel, tuple(pi[e] for e in args)]
+                           for rel, args in candidates]))
+    return index, perms
+
+
+def _class_representatives(schema: Schema, max_domain: int,
+                           filter_sigma=None, up_to_iso: bool = True):
+    """(C, autos) for every C of ``enumerate_instances`` that is the first
+    labeled member of its isomorphism class: no permutation of {e1..em}
+    maps its fact-index combination to a lexicographically smaller one.
+    ``autos`` holds the permutations that fix the combination, as element
+    maps.  Without ``up_to_iso``, and at a domain size with more
+    permutations than instances, every instance comes with no
+    automorphisms."""
+    m, perms = -1, []
+    for C in enumerate_instances(schema, max_domain, filter_sigma):
+        if up_to_iso and len(C.domain) != m:
+            m = len(C.domain)
+            index, perms = _permutation_table(schema, m)
+        if not perms:
+            yield C, ()
+            continue
+        combo = sorted(map(index.__getitem__, C.facts))
+        autos = []
+        for pi, fmap in perms:
+            image = sorted(map(fmap.__getitem__, combo))
+            if image < combo:
+                break
+            if image == combo:
+                autos.append(pi)
+        else:
+            yield C, autos
+
+
+def _least_in_orbit(pts: tuple, autos, rank: dict) -> bool:
+    """Is the point tuple no later than its image under any automorphism,
+    in the product order of ``rank``?"""
+    key = [rank[e] for e in pts]
+    return all([rank[pi[e]] for e in pts] >= key for pi in autos)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +321,9 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     by chase derivation of R(c), with one chase per unpointed instance
     shared by all its point tuples.  In the ABox category every frontier
     member, dual and unpointed instance is chased once, and each chase
-    serves as a morphism target and as a certificate source.
+    serves as a morphism target and as a certificate source.  When every
+    chase read terminates, only class representatives and the least point
+    tuple of each orbit are checked.
     """
     duals = list(D)
     if category is None:
@@ -281,7 +348,9 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         P_sigma = tgd_compile(tuple(sigma), schema)
         F_chases = [] if generator else [_abox_chase(P_sigma, A) for A in F]
         D_chases = [_abox_chase(P_sigma, d) for d in duals]
-    for C in enumerate_instances(schema, B, filter_sigma=filt):
+    up_to_iso = (not generator or F[0].terminates) and \
+        (category != "abox" or P_sigma.terminates)
+    for C, autos in _class_representatives(schema, B, filt, up_to_iso):
         if k and not C.domain:
             continue  # no point tuples
         if generator:
@@ -290,7 +359,11 @@ def verify_duality(F, D, B: int = 3, sigma=None,
             C_chase = _abox_chase(P_sigma, C)
             F_abox = (P_sigma, F_chases, C_chase)
             D_abox = (P_sigma, D_chases, C_chase)
-        for pts in itertools.product(C.sorted_domain(), repeat=k):
+        order = C.sorted_domain()
+        rank = {e: i for i, e in enumerate(order)}
+        for pts in itertools.product(order, repeat=k):
+            if not _least_in_orbit(pts, autos, rank):
+                continue
             Cp = C.with_points(pts) if k else C
             if generator:
                 fin = (F[1], pts) in derived
@@ -331,10 +404,11 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
     prefix of ``PROGRAM_ROUNDS`` rounds.  A prefix that does not map into
     J is a certain "no", as the output only grows.  A prefix that maps
     into J is not a certain "yes": it is accepted when one more round
-    still maps, and the verdict is unknown otherwise.
+    still maps, and the verdict is unknown otherwise.  When P's chases
+    terminate, only class representatives are checked.
     """
     members = list(result.members)
-    for I in enumerate_instances(P.s_in, B):
+    for I, _ in _class_representatives(P.s_in, B, up_to_iso=P.terminates):
         out, stable = _program_output(P, I, PROGRAM_ROUNDS)
         lhs = find_homomorphism(out, J) is not None
         if lhs and not stable:

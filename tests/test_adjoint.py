@@ -25,6 +25,7 @@ from homkit.adjoint import (
 from homkit.core import Element, Instance, Schema, find_homomorphism
 from homkit.oracle import verify_adjoint
 from homkit.program import tgd_compile
+from homkit.syntax import parse_program
 
 
 def out_instance(rel, arity, tuples, extra=()):
@@ -68,6 +69,28 @@ def test_disconnected_program_two_members():
     assert only_q1 and only_q2
     v = verify_adjoint(P, J, res, B=2)
     assert v.passed, v.explanation
+
+
+def test_connector_avoids_aux_variables():
+    # u sorts first in its component but occurs only in an aux atom; linking
+    # the components through it left the connected program not almost
+    # monadic, so the answer depended on the variable's name
+    text = """program
+in: E/2, U/1
+out: Q/1
+aux: T/2 @1
+rules
+T(x,y) :- E(x,y).
+Q(x) :- E(x,y), T(x,{v}), U(z).
+"""
+    J = out_instance("Q", 1, [("a",)])
+    sizes = []
+    for v in ("u", "y2"):
+        P = parse_program(text.format(v=v))
+        res = adjoint(P, J)
+        sizes.append(len(res.members))
+        assert verify_adjoint(P, J, res, B=2).passed
+    assert sizes == [2, 2]
 
 
 def test_sl_adjoint_loop_and_edge():

@@ -1,11 +1,13 @@
 """Brute-force verification oracles."""
 
 import itertools
+import math
 
 import pytest
 
 from conftest import (
     digraph,
+    make_nonterminating_program,
     make_path_program,
     make_slow_answer_program,
     make_tc_program,
@@ -13,8 +15,9 @@ from conftest import (
 )
 from homkit import oracle
 from homkit import chase
+from homkit.adjoint import sl_adjoint
 from homkit.chase import chase_theory
-from homkit.core import Instance, Schema, find_homomorphism
+from homkit.core import Element, Instance, Schema, find_homomorphism
 from homkit.duality import abox_dual, dual_from_program
 from homkit.oracle import (
     OracleError,
@@ -24,9 +27,10 @@ from homkit.oracle import (
     enumerate_instances,
     iter_homomorphisms,
     programs_equivalent_bounded,
+    verify_adjoint,
     verify_duality,
 )
-from homkit.program import TGD, Atom, tgd_compile
+from homkit.program import TGD, Atom, Program, Rule, tgd_compile
 
 
 E = Schema([("E", 2)])
@@ -48,6 +52,61 @@ def test_enumerate_ordered_smallest_first():
     seq = list(enumerate_instances(E, 2))
     sizes = [(len(I.domain), len(I.facts)) for I in seq]
     assert sizes == sorted(sizes)
+
+
+def _classes(schema: Schema, B: int) -> dict:
+    """Brute force: the first labeled instance of each isomorphism class,
+    keyed by its canonical form (domain size and the least sorted fact
+    tuple over all relabellings), in enumeration order."""
+    first = {}
+    for C in enumerate_instances(schema, B):
+        elems = sorted(C.domain)
+        pos = {e: i for i, e in enumerate(elems)}
+        facts = [(rel, [pos[e] for e in args]) for rel, args in C.facts]
+        key = len(elems), min(
+            tuple(sorted((rel, tuple(p[i] for i in args))
+                         for rel, args in facts))
+            for p in itertools.permutations(range(len(elems))))
+        first.setdefault(key, C)
+    return first
+
+
+def _automorphisms(C: Instance) -> int:
+    elems = sorted(C.domain)
+    return sum(
+        1 for images in itertools.permutations(elems)
+        if {(rel, tuple(dict(zip(elems, images))[e] for e in args))
+            for rel, args in C.facts} == C.facts)
+
+
+@pytest.mark.parametrize("schema,B", [
+    (E, 3), (Schema([("E", 2), ("X1", 1)]), 2), (Schema([("U", 1)]), 3)])
+def test_class_representatives_are_first_members(schema, B):
+    reps = list(oracle._class_representatives(schema, B))
+    assert [C for C, _ in reps] == list(_classes(schema, B).values())
+    for C, autos in reps:
+        assert len(autos) == _automorphisms(C)
+        assert all({(rel, tuple(pi[e] for e in args))
+                    for rel, args in C.facts} == C.facts for pi in autos)
+
+
+def test_class_counts():
+    # unlabeled digraphs with loops on at most B nodes, cumulative
+    # (OEIS A000595: 1, 2, 10, 104, 3044); the brute force above agrees
+    # up to 3 nodes
+    reps = list(oracle._class_representatives(E, 4))
+    assert [sum(1 for C, _ in reps if len(C.domain) <= B)
+            for B in range(5)] == [1, 3, 13, 117, 3161]
+    # orbit-stabilizer: the classes cover every labeled instance once
+    assert sum(math.factorial(len(C.domain)) // len(autos)
+               for C, autos in reps) == count_instances(E, 4)
+    # with more permutations than instances (4! > 2^4) a size is labeled
+    U = Schema([("U", 1)])
+    reps = list(oracle._class_representatives(U, 4))
+    assert len(reps) == 1 + 2 + 3 + 4 + 2 ** 4
+    assert all(autos == () for C, autos in reps if len(C.domain) == 4)
+    assert len(list(oracle._class_representatives(E, 3, up_to_iso=False))) \
+        == count_instances(E, 3)
 
 
 def test_verdict_invariant():
@@ -129,6 +188,68 @@ def test_equivalence_chases_each_program_once_per_instance(monkeypatch,
     v = programs_equivalent_bounded(P1, P2, B=2)
     before = list(enumerate_instances(E, 2)).index(v.counterexample)
     assert calls == [P1, P2] * before + [P1]
+
+
+def _count_chases(monkeypatch) -> list:
+    calls = []
+    real = oracle.run_program
+
+    def counted(P, I, *args, **kwargs):
+        calls.append(I)
+        return real(P, I, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "run_program", counted)
+    return calls
+
+
+def test_duality_chases_one_instance_per_class(monkeypatch):
+    d = dual_from_program(make_path_program(2), "Ans")
+    calls = _count_chases(monkeypatch)
+    assert verify_duality(d.generator, d.duals, 3).passed
+    assert len(calls) == 117
+
+
+def test_nonterminating_generator_chases_every_labeled_instance(
+        monkeypatch):
+    # R(x,y) -> exists z R(y,z) is not weakly acyclic, although every
+    # chase here stops once each edge's head has a loop
+    P = Program(E, Schema([("Ans", 0)]), Schema([("R", 2)]), [
+        Rule((Atom("R", ("x", "y")),), (Atom("E", ("x", "y")),)),
+        Rule((Atom("R", ("y", "y")),), (Atom("E", ("x", "y")),)),
+        Rule((Atom("R", ("y", "z")),), (Atom("R", ("x", "y")),), ("z",)),
+        Rule((Atom("Ans", ()),), (Atom("E", ("x", "y")),))])
+    assert not P.terminates
+    calls = _count_chases(monkeypatch)
+    assert verify_duality((P, "Ans"), [digraph([], extra=["a"])], 3).passed
+    assert calls == list(enumerate_instances(E, 3))
+
+
+def test_nonterminating_abox_duality_chases_every_labeled_instance(
+        monkeypatch):
+    sigma = sigma2("E")
+    d = abox_dual(sigma, [digraph([("a", "b")])])
+    calls = []
+    real = oracle.chase_theory
+
+    def counted(P_sigma, A, *args, **kwargs):
+        calls.append(A)
+        return real(P_sigma, A, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "chase_theory", counted)
+    assert verify_duality(d.frontier, d.duals, 3, sigma=sigma,
+                          category="abox").passed
+    assert set(enumerate_instances(E, 3)) <= set(calls)
+
+
+def test_nonterminating_adjoint_chases_every_labeled_instance(monkeypatch):
+    P = make_nonterminating_program()
+    a = Element.named("a")
+    J = Instance(P.s_out, [a], [("R_out", (a, a))])
+    res = sl_adjoint(P, J)
+    calls = _count_chases(monkeypatch)
+    assert verify_adjoint(P, J, res, B=3).passed
+    assert set(calls) == set(enumerate_instances(P.s_in, 3))
+    assert len(set(calls)) == count_instances(P.s_in, 3) == 531
 
 
 def test_abox_verify_needs_a_dependency_set():

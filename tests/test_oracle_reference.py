@@ -1,25 +1,40 @@
 """Differential test: ``oracle.verify_duality``, which chases each
-unpointed instance once for all its point tuples, agrees exactly with the
-per-tuple loop it replaced, kept below verbatim as the slow reference: same
-``passed``, ``unknown``, explanation and counterexample, points included."""
+unpointed instance once for all its point tuples and checks one instance
+per isomorphism class and one point tuple per orbit, agrees exactly with
+the per-tuple loop over every labeled instance, kept below verbatim as the
+slow reference: same ``passed``, ``unknown``, explanation and
+counterexample, points included.  ``oracle.verify_adjoint`` is checked the
+same way against its labeled loop."""
 
 import itertools
 import random
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
 from conftest import (
     digraph,
+    make_disconnected_program,
     make_path_program,
     make_sigma1_rewrite,
+    make_symmetric_closure,
     make_tc_program,
+    rel_instance,
     sigma1,
     sigma2,
 )
 from homkit.chase import DEFAULT_BUDGET, run_program
-from homkit.core import Instance, Schema, adom_instance, find_homomorphism
+from homkit.adjoint import adjoint
+from homkit.core import (
+    Instance,
+    Schema,
+    adom_instance,
+    find_homomorphism,
+    iter_homomorphisms,
+)
 from homkit.duality import abox_dual, dual_from_program, dual_wrt_theory
 from homkit import oracle
 from homkit.oracle import (
+    PROGRAM_ROUNDS,
     OracleError,
     Verdict,
     abox_morphism,
@@ -135,6 +150,77 @@ def verify_duality(F, D, B: int = 3, sigma=None,
 
 
 # ---------------------------------------------------------------------------
+# Adjoint verification over every labeled instance
+# ---------------------------------------------------------------------------
+
+
+def _program_output(P: Program, I: Instance, budget: int):
+    """(output instance restricted to its active domain, stable?)"""
+    res = run_program(P, I, budget=budget)
+    return adom_instance(res.output), res.terminated
+
+
+def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
+    """Check the right-adjoint property of ``result`` for (P, J) at bound B.
+
+    For every input instance I with at most B elements: P(I) maps into J
+    iff I maps into some member; and when both hold, some witness pair of
+    homomorphisms commutes through the member's partial back-map.  For
+    programs with non-terminating chases the left side reads a chase
+    prefix of ``PROGRAM_ROUNDS`` rounds.  A prefix that does not map into
+    J is a certain "no", as the output only grows.  A prefix that maps
+    into J is not a certain "yes": it is accepted when one more round
+    still maps, and the verdict is unknown otherwise.
+    """
+    members = list(result.members)
+    for I in enumerate_instances(P.s_in, B):
+        out, stable = _program_output(P, I, PROGRAM_ROUNDS)
+        lhs = find_homomorphism(out, J) is not None
+        if lhs and not stable:
+            # heuristic "yes": certifying it needs a finite model of P
+            # whose output maps into J, and nothing here searches for one
+            out1, _ = _program_output(P, I, PROGRAM_ROUNDS + 1)
+            lhs1 = find_homomorphism(out1, J) is not None
+            if lhs != lhs1:
+                return Verdict(False, B, I, unknown=True,
+                               explanation="unknown: bounded chase not "
+                                           "stable for this instance")
+        I_adom = adom_instance(I)
+        rhs = any(
+            find_homomorphism(I_adom, j_prime) is not None
+            for j_prime, _ in members
+        )
+        if lhs != rhs:
+            expl = ("program image maps into J but I maps into no member"
+                    if lhs else
+                    "I maps into a member but the program image does not "
+                    "map into J")
+            return Verdict(False, B, I, explanation=expl)
+        if not lhs:
+            continue
+        # commuting diagram: some h: I -> member and g: image -> J with
+        # g agreeing with iota∘h wherever iota∘h is defined
+        ok = False
+        for j_prime, iota in members:
+            if ok:
+                break
+            for h in iter_homomorphisms(I_adom, j_prime):
+                bindings = {
+                    x: iota[h[x]]
+                    for x in h
+                    if x in out.domain and h[x] in iota
+                }
+                if find_homomorphism(out, J, bindings=bindings) is not None:
+                    ok = True
+                    break
+        if not ok:
+            return Verdict(False, B, I,
+                           explanation="no homomorphism pair commutes "
+                                       "through the member back-maps")
+    return Verdict(True, B)
+
+
+# ---------------------------------------------------------------------------
 # Cases
 # ---------------------------------------------------------------------------
 
@@ -244,3 +330,52 @@ def test_theory_frontiers_match_reference():
     d = abox_dual(sigma, [digraph([("a", "b")])])
     assert _same(d.frontier, d.duals, 2, sigma=sigma,
                  category="abox").passed
+
+
+def _wrong_members(rng, members: list) -> list:
+    """A seeded perturbation: drop a member, drop or add a fact of one,
+    or send all of one member's back-map to a single element."""
+    members = list(members)
+    i = rng.randrange(len(members))
+    m, iota = members[i]
+    choice = rng.randrange(4)
+    if choice == 0:
+        members.pop(i)
+    elif choice in (1, 2):
+        facts = sorted(m.facts)
+        if choice == 1 and facts:
+            facts.pop(rng.randrange(len(facts)))
+        else:
+            rel, arity = rng.choice(m.schema.relations)
+            elems = m.sorted_domain()
+            facts.append((rel, tuple(rng.choice(elems)
+                                     for _ in range(arity))))
+        members[i] = (Instance(m.schema, m.domain, facts), iota)
+    elif iota:
+        members[i] = (m, dict.fromkeys(iota, min(iota.values())))
+    return members
+
+
+def test_adjoint_verdicts_match_labeled_reference():
+    rng = random.Random(3607)
+    programs = [make_symmetric_closure(), make_disconnected_program(),
+                make_path_program(2), make_sigma1_rewrite(),
+                make_tc_program()]
+    verdicts = []
+    for P in programs:
+        assert P.terminates
+        rel, arity = P.s_out.relations[0]
+        for tuples in ([], [("a",) * arity], [tuple("ab"[:arity])]):
+            J = rel_instance(rel, arity, tuples, extra=["a", "b"])
+            members = adjoint(P, J).members
+            for result in [members] + [_wrong_members(rng, members)
+                                       for _ in range(3)]:
+                res = SimpleNamespace(members=result)
+                for B in (2, 3):
+                    got = oracle.verify_adjoint(P, J, res, B)
+                    want = verify_adjoint(P, J, res, B)
+                    assert _summary(got) == _summary(want), (P, J, B)
+                    verdicts.append(got)
+    assert any(v.passed for v in verdicts)
+    assert {v.bound for v in verdicts if not v.passed} == {2, 3}
+    assert len({v.explanation for v in verdicts if not v.passed}) == 3
