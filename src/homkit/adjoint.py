@@ -8,7 +8,7 @@ member's domain into J's domain witnessing the commuting diagram.
 
 Three constructions are provided: ``tam_adjoint`` for tree-shaped
 almost-monadic Datalog programs (pair-element construction), ``sl_adjoint``
-for strongly linear programs (greedy maximal-subinstance construction), and
+for strongly linear programs (greatest subinstance with head witnesses), and
 ``compose_adjoints`` for compositions of program functors.
 """
 
@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from .chase import _join, _Store
 from .core import (
     BOTTOM,
     CapExceeded,
@@ -289,10 +290,12 @@ def tam_adjoint(P: Program, J: Instance,
 def sl_adjoint(P: Program, J: Instance) -> AdjointResult:
     """Right adjoint of a strongly linear program.
 
-    The single member is the maximal input-schema instance over
-    domain(J) ∪ {⊥} whose facts all chase into J: start from all input/aux
-    facts over that domain plus exactly J's facts, then greedily remove any
-    input/aux fact whose rule body match has no remaining head witness.
+    The single member is the largest input-schema instance over
+    domain(J) ∪ {⊥} whose facts all chase into J.  From all input/aux
+    facts over that domain plus exactly J's facts, every fact with a body
+    match that has no head witness left (the restricted chase's trigger
+    check, ``chase._join`` on the rule's head) is removed, all at once,
+    until none is: a greatest fixpoint, so the order is immaterial.
     """
     if J.schema.relations != P.s_out.relations:
         raise AdjointError("J must be an instance over the output schema")
@@ -301,49 +304,28 @@ def sl_adjoint(P: Program, J: Instance) -> AdjointResult:
                            "body to be a single repetition-free atom")
 
     D = sorted(J.domain) + [BOTTOM]
-    k: dict[str, set] = {}
-    for rel, arity in P.s_in.union(P.s_aux).relations:
-        k[rel] = set(itertools.product(D, repeat=arity))
-    for rel, _ in P.s_out.relations:
-        k[rel] = set()
-    for rel, args in J.facts:
-        k[rel].add(args)
-
+    facts = {(rel, args)
+             for rel, arity in P.s_in.union(P.s_aux).relations
+             for args in itertools.product(D, repeat=arity)}
+    facts.update(J.facts)
     rules_by_body: dict[str, list[Rule]] = {}
     for rule in P.rules:
         rules_by_body.setdefault(rule.body_atoms[0].rel, []).append(rule)
 
-    def supported(rel: str, args: tuple) -> bool:
-        for rule in rules_by_body.get(rel, ()):
-            body = rule.body_atoms[0]
-            g = dict(zip(body.args, args))
-            exts = list(rule.existentials)
-            witnessed = False
-            for combo in itertools.product(D, repeat=len(exts)):
-                full = dict(g)
-                full.update(zip(exts, combo))
-                if all(
-                    tuple(full[v] for v in a.args) in k[a.rel]
-                    for a in rule.head_atoms
-                ):
-                    witnessed = True
-                    break
-            if not witnessed:
-                return False
-        return True
+    # a body is one repetition-free atom, so zipping it with a fact is a
+    # match; an existential in no head atom stays unbound, as D is not empty
+    while True:
+        store = _Store(P.full_schema(), facts)
+        dead = {(rel, args) for rel, args in facts
+                for rule in rules_by_body.get(rel, ())
+                if next(_join(rule.head_atoms, store,
+                              dict(zip(rule.body_atoms[0].args, args))),
+                        None) is None}
+        if not dead:
+            break
+        facts -= dead
 
-    removable = set(P.s_in.names) | set(P.s_aux.names)
-    changed = True
-    while changed:
-        changed = False
-        for rel in sorted(removable):
-            dead = {args for args in k[rel] if not supported(rel, args)}
-            if dead:
-                k[rel] -= dead
-                changed = True
-
-    facts = [(rel, args) for rel in P.s_in.names for args in k[rel]]
-    member = Instance(P.s_in, D, facts)
+    member = Instance(P.s_in, D, [f for f in facts if f[0] in P.s_in])
     iota = {d: d for d in J.domain}
     return AdjointResult(((member, iota),), J, "sl")
 

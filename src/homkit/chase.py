@@ -14,8 +14,8 @@ index is built on its first lookup and updated on every insert after that.
 ``_join`` is the single join: it matches atoms left to right, looking each
 one up through the index for the positions the assignment already binds, and
 iterates over a copy of the bucket, never the live one.  Body matches,
-semi-naive delta pins, the restricted chase's head check and
-``ucq.evaluate`` all go through it.
+semi-naive delta pins, the restricted chase's head check, the head check
+of ``adjoint.sl_adjoint`` and ``ucq.evaluate`` all go through it.
 
 Steps are counted in rounds: one round visits every rule in file order, and
 a chase terminates when a full round adds nothing.  Three points fix

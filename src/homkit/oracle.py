@@ -46,8 +46,8 @@ from .program import Program, tgd_compile
 # admits non-terminating chases
 ABOX_ROUNDS = 22
 
-# rounds of a program's chase in the adjoint and equivalence checks when the
-# program admits non-terminating chases
+# rounds of a program's chase in the duality, adjoint and equivalence checks
+# when the program admits non-terminating chases
 PROGRAM_ROUNDS = 12
 
 
@@ -317,13 +317,16 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     only when ``sigma`` is given in the model category), exactly one of
     "some frontier member maps into (C, c)" and "(C, c) maps into some
     dual" must hold.  ``F`` is a set of pointed instances or a
-    (program, relation[, depth]) generator; generator membership is decided
-    by chase derivation of R(c), with one chase per unpointed instance
-    shared by all its point tuples.  In the ABox category every frontier
-    member, dual and unpointed instance is chased once, and each chase
-    serves as a morphism target and as a certificate source.  When every
-    chase read terminates, only class representatives and the least point
-    tuple of each orbit are checked.
+    (program, relation) generator; generator membership is decided by
+    chase derivation of R(c), with one chase per unpointed instance shared
+    by all its point tuples.  A chase that does not terminate is read for
+    ``PROGRAM_ROUNDS`` rounds: R(c) in that prefix is a certain "yes", its
+    absence is a certain "no" only after a fixpoint, and the verdict is
+    unknown otherwise.  In the ABox category every frontier member, dual
+    and unpointed instance is chased once, and each chase serves as a
+    morphism target and as a certificate source.  When every chase read
+    terminates, only class representatives and the least point tuple of
+    each orbit are checked.
     """
     duals = list(D)
     if category is None:
@@ -354,7 +357,8 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         if k and not C.domain:
             continue  # no point tuples
         if generator:
-            derived = run_program(F[0], C).output.facts
+            res = run_program(F[0], C, budget=PROGRAM_ROUNDS)
+            derived = res.output.facts
         if category == "abox":
             C_chase = _abox_chase(P_sigma, C)
             F_abox = (P_sigma, F_chases, C_chase)
@@ -367,6 +371,8 @@ def verify_duality(F, D, B: int = 3, sigma=None,
             Cp = C.with_points(pts) if k else C
             if generator:
                 fin = (F[1], pts) in derived
+                if not fin and not res.terminated:
+                    fin = None  # a miss in a chase prefix decides nothing
             else:
                 fin = _frontier_hit(F, Cp, F_abox)
             din = _dual_hit(duals, Cp, D_abox)

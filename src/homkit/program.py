@@ -291,35 +291,16 @@ def articulation_search(P: Program, total: bool = False) -> Optional[dict]:
     ``total=True`` only total functions on aux relations are considered.
     Returns the witness dict or None.
     """
-    aux = list(P.s_aux.names)
+    aux = P.s_aux.names
     aux_set = set(aux)
-
-    def candidates(rel: str):
-        if rel in P.articulation:
-            return [P.articulation[rel]]
-        arity = P.s_aux.arity(rel)
-        opts = list(range(1, arity + 1))
-        if not total:
-            opts.append(None)
-        return opts
-
-    def check(f: dict) -> bool:
-        return all(_am_ok_for_rule(r, aux_set, f) for r in P.rules)
-
-    def search(i: int, f: dict) -> Optional[dict]:
-        if i == len(aux):
-            return dict(f) if check(f) else None
-        rel = aux[i]
-        for cand in candidates(rel):
-            if cand is not None:
-                f[rel] = cand
-            found = search(i + 1, f)
-            if found is not None:
-                return found
-            f.pop(rel, None)
-        return None
-
-    return search(0, {})
+    options = [[P.articulation[rel]] if rel in P.articulation
+               else [*range(1, arity + 1)] + ([] if total else [None])
+               for rel, arity in P.s_aux.relations]
+    for combo in itertools.product(*options):
+        f = {rel: pos for rel, pos in zip(aux, combo) if pos is not None}
+        if all(_am_ok_for_rule(r, aux_set, f) for r in P.rules):
+            return f
+    return None
 
 
 def _weakly_acyclic(P: Program) -> bool:

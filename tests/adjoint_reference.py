@@ -1,18 +1,25 @@
 """The pair-element adjoint and the folding reduction as they were before
-the adjoint read body matches off its pair elements, kept verbatim as slow
-references.
+the adjoint read body matches off its pair elements, and the strongly
+linear adjoint and the articulation search as they were before they left
+their searches to the chase's join and to one product, kept verbatim as
+slow references.
 
-``test_adjoint_reference.py`` checks that ``homkit.adjoint.tam_adjoint``
-and ``homkit.duality.fold_reduce`` agree with these functions exactly.
-Here every pair element's candidate facts are built per base
+``test_adjoint_reference.py`` checks that ``homkit.adjoint.tam_adjoint``,
+``homkit.adjoint.sl_adjoint``, ``homkit.program.articulation_search`` and
+``homkit.duality.fold_reduce`` agree with these functions exactly.  Here
+every pair element's candidate facts are built per base
 (``_pair_candidates``), the pair elements are rebuilt once per argument
 position of every input relation, and the closure check ``fact_ok`` tries
-every assignment in D^n of a rule's free variables.
+every assignment in D^n of a rule's free variables; ``sl_adjoint`` tries
+every assignment in D^m of a rule's existential variables and removes
+facts one relation at a time; ``articulation_search`` recurses over the
+aux relations.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from homkit.adjoint import (
     DEFAULT_FACT_CAP,
@@ -24,10 +31,49 @@ from homkit.adjoint import (
 from homkit.core import BOTTOM, CapExceeded, Element, Instance, Schema
 from homkit.program import (
     Program,
-    articulation_search,
+    Rule,
+    _am_ok_for_rule,
     classify,
     to_simple_tam,
 )
+
+
+def articulation_search(P: Program, total: bool = False) -> Optional[dict]:
+    """Search for an articulation function witnessing almost-monadicity.
+
+    Declared articulations are fixed (validated, not trusted).  With
+    ``total=True`` only total functions on aux relations are considered.
+    Returns the witness dict or None.
+    """
+    aux = list(P.s_aux.names)
+    aux_set = set(aux)
+
+    def candidates(rel: str):
+        if rel in P.articulation:
+            return [P.articulation[rel]]
+        arity = P.s_aux.arity(rel)
+        opts = list(range(1, arity + 1))
+        if not total:
+            opts.append(None)
+        return opts
+
+    def check(f: dict) -> bool:
+        return all(_am_ok_for_rule(r, aux_set, f) for r in P.rules)
+
+    def search(i: int, f: dict) -> Optional[dict]:
+        if i == len(aux):
+            return dict(f) if check(f) else None
+        rel = aux[i]
+        for cand in candidates(rel):
+            if cand is not None:
+                f[rel] = cand
+            found = search(i + 1, f)
+            if found is not None:
+                return found
+            f.pop(rel, None)
+        return None
+
+    return search(0, {})
 
 
 def _pair_candidates(D, aux_schema: Schema, art: dict):
@@ -210,6 +256,68 @@ def tam_adjoint(P: Program, J: Instance,
             members.append((member, sub_iota))
     members.sort(key=lambda m: m[0].canonical_key())
     return AdjointResult(tuple(members), J, "tam")
+
+
+def sl_adjoint(P: Program, J: Instance) -> AdjointResult:
+    """Right adjoint of a strongly linear program.
+
+    The single member is the maximal input-schema instance over
+    domain(J) ∪ {⊥} whose facts all chase into J: start from all input/aux
+    facts over that domain plus exactly J's facts, then greedily remove any
+    input/aux fact whose rule body match has no remaining head witness.
+    """
+    if J.schema.relations != P.s_out.relations:
+        raise AdjointError("J must be an instance over the output schema")
+    if not classify(P).strongly_linear:
+        raise AdjointError("the greedy construction requires every rule "
+                           "body to be a single repetition-free atom")
+
+    D = sorted(J.domain) + [BOTTOM]
+    k: dict[str, set] = {}
+    for rel, arity in P.s_in.union(P.s_aux).relations:
+        k[rel] = set(itertools.product(D, repeat=arity))
+    for rel, _ in P.s_out.relations:
+        k[rel] = set()
+    for rel, args in J.facts:
+        k[rel].add(args)
+
+    rules_by_body: dict[str, list[Rule]] = {}
+    for rule in P.rules:
+        rules_by_body.setdefault(rule.body_atoms[0].rel, []).append(rule)
+
+    def supported(rel: str, args: tuple) -> bool:
+        for rule in rules_by_body.get(rel, ()):
+            body = rule.body_atoms[0]
+            g = dict(zip(body.args, args))
+            exts = list(rule.existentials)
+            witnessed = False
+            for combo in itertools.product(D, repeat=len(exts)):
+                full = dict(g)
+                full.update(zip(exts, combo))
+                if all(
+                    tuple(full[v] for v in a.args) in k[a.rel]
+                    for a in rule.head_atoms
+                ):
+                    witnessed = True
+                    break
+            if not witnessed:
+                return False
+        return True
+
+    removable = set(P.s_in.names) | set(P.s_aux.names)
+    changed = True
+    while changed:
+        changed = False
+        for rel in sorted(removable):
+            dead = {args for args in k[rel] if not supported(rel, args)}
+            if dead:
+                k[rel] -= dead
+                changed = True
+
+    facts = [(rel, args) for rel in P.s_in.names for args in k[rel]]
+    member = Instance(P.s_in, D, facts)
+    iota = {d: d for d in J.domain}
+    return AdjointResult(((member, iota),), J, "sl")
 
 
 def fold_reduce(I: Instance) -> Instance:

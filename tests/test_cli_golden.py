@@ -1,24 +1,31 @@
 """Golden ``--json`` output: the sha256 of stdout and the exit code of
-in-process ``homkit`` runs for the adjoint and duality commands.
+in-process ``homkit`` runs for the adjoint, duality and classify commands.
 
-The digests pin the JSON output byte for byte.  They were taken from the
-code before the pair-element adjoint was rewritten to enumerate facts
-instead of variable assignments; a mismatch means the output changed, and
-the digest must not be regenerated to make the test pass.
+The digests pin the JSON output byte for byte.  The adjoint and duality
+digests were taken from the code before the pair-element adjoint was
+rewritten to enumerate facts instead of variable assignments; the classify
+digests, which pin ``articulation_witness``, from the code before the
+articulation search became one product.  A mismatch means the output
+changed, and the digest must not be regenerated to make the test pass.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import pathlib
 
 import pytest
 
 from conftest import (
     digraph,
     make_disconnected_program,
+    make_ef_program,
+    make_loop_rule_program,
+    make_nonterminating_program,
     make_path_program,
     make_sigma1_rewrite,
+    make_slow_answer_program,
     make_symmetric_closure,
     make_tc_program,
     make_unfold_program,
@@ -40,6 +47,19 @@ PROGRAMS = {
     "unfold": make_unfold_program(),
 }
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
+    "fixtures"
+
+# classify runs on every conftest program and every fixture program
+CLASSIFIED = dict(PROGRAMS, **{
+    "ef": make_ef_program(),
+    "loop-rule": make_loop_rule_program(),
+    "nonterminating": make_nonterminating_program(),
+    "rewrite-R": make_sigma1_rewrite(),
+    "slow-answer": make_slow_answer_program(False),
+    "slow-answer-guard": make_slow_answer_program(True),
+})
+
 
 def _js(P) -> dict:
     """Three instances over P's output schema: every fact over one element,
@@ -60,9 +80,12 @@ def _js(P) -> dict:
 
 def _write_files(d):
     for name, P in PROGRAMS.items():
-        (d / f"{name}.dl").write_text(print_program(P))
         for jname, J in _js(P).items():
             (d / f"{name}.{jname}.inst").write_text(print_instance(J))
+    for name, P in CLASSIFIED.items():
+        (d / f"{name}.dl").write_text(print_program(P))
+    for path in FIXTURES.glob("*.dl"):
+        (d / f"fixture-{path.name}").write_text(path.read_text())
     (d / "edge.inst").write_text(print_instance(digraph([("a", "b")])))
     (d / "path.inst").write_text(print_instance(
         digraph([("a", "b"), ("b", "c")])))
@@ -92,6 +115,11 @@ def _cases() -> dict:
             "sigma2.tgd", "--abox")
         cases[f"frontier-{inst}-minimize"] = (
             "dualize", "--frontier", f"{inst}.inst", "--minimize")
+    for name in CLASSIFIED:
+        cases[f"classify-{name}"] = ("classify", f"{name}.dl")
+    for path in FIXTURES.glob("*.dl"):
+        cases[f"classify-fixture-{path.stem}"] = (
+            "classify", f"fixture-{path.name}")
     return cases
 
 
@@ -147,6 +175,44 @@ GOLDEN = {
         "42483eb42469749942432a513047babdd956256211369aa170aa7f6f8ad3cc21",
     "adjoint-unfold-most":
         "665f5a70f72c4333f9e8a91f51d724cdd2ce13e6b21539428f0c29f4e7ce3b96",
+    "classify-disconnected":
+        "2e8e605d7cc1b27d3fe80f1d67b4135e62ce4c36811e542ab96acad6a48ed0a6",
+    "classify-ef":
+        "223c1de81488b7c6586c636eddb0fca7c3df94c93e9c1f8847b7926bb60e111c",
+    "classify-fixture-inclusion":
+        "30f529eb3e2e51289a596a77231055d5abf983eec5574d40f305d6e3489c2890",
+    "classify-fixture-path1":
+        "69c6974942e8547a4fd104f7fdab1e8159933010e25dc67f7b8d9e1d6974e3c0",
+    "classify-fixture-path2":
+        "78757ead56c042dd0fc45b422e0e71b874d5d92619716ec1ad51de1932dee2f2",
+    "classify-fixture-path3":
+        "78757ead56c042dd0fc45b422e0e71b874d5d92619716ec1ad51de1932dee2f2",
+    "classify-fixture-tc":
+        "47e42b0b954cda78403334a1754a00b1ed388631a5911faa09f26c33feb65123",
+    "classify-loop-rule":
+        "73edb237234ad9291c0f17e49e2b7fc488d94fe8a1784a2ea7bc3fdf41e64315",
+    "classify-nonterminating":
+        "30f529eb3e2e51289a596a77231055d5abf983eec5574d40f305d6e3489c2890",
+    "classify-path1":
+        "69c6974942e8547a4fd104f7fdab1e8159933010e25dc67f7b8d9e1d6974e3c0",
+    "classify-path2":
+        "78757ead56c042dd0fc45b422e0e71b874d5d92619716ec1ad51de1932dee2f2",
+    "classify-path3":
+        "78757ead56c042dd0fc45b422e0e71b874d5d92619716ec1ad51de1932dee2f2",
+    "classify-rewrite":
+        "99dd0adb4af552f2ccb0f1c10e6e92f87356fdb9b20484cfa55ecda1b89a2ce9",
+    "classify-rewrite-R":
+        "167d6fdbbeb4d978d75eb584b31c18105574184629232c885ebf9f6213145b5d",
+    "classify-slow-answer":
+        "9d97e409c4cf6c94b76d7bcf4734003baa9e9b188a5edf9b4c630a413e211cc9",
+    "classify-slow-answer-guard":
+        "27ddcab6b5d2fb70ce7527f2a64811396d71f1773b5a5a600ebe0dbfcfee96b6",
+    "classify-symmetric":
+        "91fe923293dad7d08ab37488614aa456058be262d2330b28e519f0956b68dd6c",
+    "classify-tc":
+        "47e42b0b954cda78403334a1754a00b1ed388631a5911faa09f26c33feb65123",
+    "classify-unfold":
+        "47e42b0b954cda78403334a1754a00b1ed388631a5911faa09f26c33feb65123",
     "dualize-disconnected-Q3":
         "6bc83f1081ea887027d3a7c12a3c51dbef6f4f6ddb9010b2888cd8f2fe21da19",
     "dualize-path1-Ans":

@@ -224,6 +224,29 @@ def test_nonterminating_generator_chases_every_labeled_instance(
     assert calls == list(enumerate_instances(E, 3))
 
 
+def test_generator_miss_in_a_chase_prefix_is_unknown(monkeypatch):
+    # Ans(d) needs 21 rounds, past the 12-round prefix, while the T-chain
+    # under E never stops; with a full chase budget the check took 86 s
+    d, s = Element.named("d"), Element.named("s")
+    D = Instance(E, [d, s], [("E", (s, s)), ("E", (s, d))], (d,))
+    calls = _count_chases(monkeypatch)
+    v = verify_duality((make_slow_answer_program(False), "Ans"), [D], 2)
+    assert not v.passed and v.unknown
+    e1 = Element.named("e1")
+    assert v.counterexample == Instance(E, [e1], [("E", (e1, e1))], (e1,))
+    assert len(calls) == 2
+
+
+def test_nonterminating_program_dual_is_unknown_at_a_prefix():
+    d = dual_from_program(make_nonterminating_program(), "R_out")
+    v = verify_duality(d.generator, d.duals, 2)
+    assert not v.passed and v.unknown
+    e1, e2 = Element.named("e1"), Element.named("e2")
+    assert v.counterexample == Instance(
+        make_nonterminating_program().s_in, [e1, e2],
+        [("R_in", (e1, e2))], (e1, e1))
+
+
 def test_nonterminating_abox_duality_chases_every_labeled_instance(
         monkeypatch):
     sigma = sigma2("E")
