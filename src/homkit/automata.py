@@ -187,17 +187,43 @@ def accepted_cover(A: "TreeAutomaton", depth: int) -> list:
 
     Some accepted tree of depth <= depth maps into an instance I exactly
     when some member of the cover does, so the cover is a compact witness
-    set for bounded-depth language hits."""
+    set for bounded-depth language hits.
+
+    Each term's state set comes from its kids' sets by one transition
+    step.  A term is covered when some kid is accepted or covered, and a
+    covered term gets no run and no tree: it cannot change the cover.
+    This is exact, because ``enumerate_terms`` yields kids before parents:
+    once an accepted term is seen, some kept tree maps into its tree;
+    a kept tree is dropped only for a tree that maps into it;
+    and a kid's tree embeds in its parent's."""
     full = A.schema.union(Schema([(x, 1) for x in A.labels]))
     kept: list[Instance] = []
+    # id(term) -> (term, height, state set, or None when accepted or
+    # covered); only terms of height < depth can be kids, and the term in
+    # the value keeps its id from being reused
+    seen: dict = {}
+    steps: dict = {}  # (rel, index, kid state sets) -> state set
     for t in enumerate_terms(A.schema, A.labels, depth):
-        if not run(A, t):
-            continue
-        T = term_to_tree(t, full).with_points(())
-        if any(find_homomorphism(K, T) is not None for K in kept):
-            continue
-        kept = [K for K in kept if find_homomorphism(T, K) is None]
-        kept.append(T)
+        if t.op == "leaf":
+            height, states = 0, _leaf_states(A, t.labels)
+        else:
+            _, heights, kid_sets = zip(*[seen[id(c)] for c in t.children])
+            height = 1 + max(heights)
+            if None in kid_sets:
+                states = None
+            else:
+                key = (t.rel, t.index, kid_sets)
+                states = steps.get(key)
+                if states is None:
+                    states = steps[key] = _step(A, t.rel, t.index, kid_sets)
+        if states is not None and states & A.accepting:
+            states = None
+            T = term_to_tree(t, full).with_points(())
+            if not any(find_homomorphism(K, T) is not None for K in kept):
+                kept = [K for K in kept if find_homomorphism(T, K) is None]
+                kept.append(T)
+        if height < depth:
+            seen[id(t)] = (t, height, states)
     return kept
 
 
@@ -246,18 +272,25 @@ class TreeAutomaton:
         return hash((self.schema.relations, self.labels, self.states))
 
 
+def _leaf_states(A: TreeAutomaton, labels: frozenset) -> frozenset:
+    if not labels <= set(A.labels):
+        raise AutomatonError("term labels outside the automaton's X")
+    return frozenset(A.leaf_delta.get(frozenset(labels), frozenset()))
+
+
+def _step(A: TreeAutomaton, rel: str, index: int, kid_sets) -> frozenset:
+    """The states at an internal node from its kids' state sets."""
+    return frozenset(
+        q for qs, q in A.trans.get((rel, index), frozenset())
+        if all(qi in si for qi, si in zip(qs, kid_sets)))
+
+
 def run_states(A: TreeAutomaton, t: TreeTerm) -> frozenset:
     """The set of states reachable at the root of a term."""
     if t.op == "leaf":
-        if not t.labels <= set(A.labels):
-            raise AutomatonError("term labels outside the automaton's X")
-        return frozenset(A.leaf_delta.get(frozenset(t.labels), frozenset()))
-    child_states = [run_states(A, c) for c in t.children]
-    out = set()
-    for qs, q in A.trans.get((t.rel, t.index), frozenset()):
-        if all(qi in si for qi, si in zip(qs, child_states)):
-            out.add(q)
-    return frozenset(out)
+        return _leaf_states(A, t.labels)
+    return _step(A, t.rel, t.index,
+                 tuple(run_states(A, c) for c in t.children))
 
 
 def run(A: TreeAutomaton, t: TreeTerm) -> bool:

@@ -37,6 +37,7 @@ from .core import (
     Instance,
     Schema,
     adom_instance,
+    fact_ser,
     find_homomorphism,
     iter_homomorphisms,
 )
@@ -372,7 +373,13 @@ def verify_duality(F, D, B: int = 3, sigma=None,
             if generator:
                 fin = (F[1], pts) in derived
                 if not fin and not res.terminated:
-                    fin = None  # a miss in a chase prefix decides nothing
+                    # a miss in a chase prefix decides nothing
+                    return Verdict(
+                        False, B, Cp, unknown=True,
+                        explanation=f"unknown: {fact_ser((F[1], pts))} is "
+                                    f"not derived in {PROGRAM_ROUNDS} chase "
+                                    "rounds and the chase has not "
+                                    "terminated")
             else:
                 fin = _frontier_hit(F, Cp, F_abox)
             din = _dual_hit(duals, Cp, D_abox)

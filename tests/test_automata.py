@@ -9,6 +9,7 @@ from conftest import (
     make_empty_automaton,
     make_label_automaton,
 )
+from homkit import automata
 from homkit.automata import (
     AutomatonError,
     accepted_cover,
@@ -192,3 +193,35 @@ def test_accepted_cover_minimal():
     cover = accepted_cover(make_label_automaton(), 2)
     assert len(cover) == 1 and len(cover[0].facts) == 1
     assert accepted_cover(make_empty_automaton(), 2) == []
+
+
+@pytest.mark.parametrize("make", [make_label_automaton, make_edge_automaton,
+                                  make_empty_automaton])
+def test_accepted_cover_consumes_every_term(monkeypatch, make):
+    # the benchmark's traced count of automata.terms relies on this
+    consumed = []
+    real = automata.enumerate_terms
+
+    def counted(*args):
+        for t in real(*args):
+            consumed.append(t)
+            yield t
+
+    monkeypatch.setattr(automata, "enumerate_terms", counted)
+    accepted_cover(make(), 2)
+    assert len(consumed) == 202
+
+
+def test_accepted_cover_builds_no_tree_above_an_accepted_term(monkeypatch):
+    # only the 8 single-edge terms have no accepted proper subterm
+    built = []
+    real = automata.term_to_tree
+
+    def counted(t, schema):
+        built.append(t)
+        return real(t, schema)
+
+    monkeypatch.setattr(automata, "term_to_tree", counted)
+    assert len(accepted_cover(make_edge_automaton(), 2)) == 1
+    assert len(built) == 8
+    assert all(c.op == "leaf" for t in built for c in t.children)

@@ -232,6 +232,8 @@ def test_generator_miss_in_a_chase_prefix_is_unknown(monkeypatch):
     calls = _count_chases(monkeypatch)
     v = verify_duality((make_slow_answer_program(False), "Ans"), [D], 2)
     assert not v.passed and v.unknown
+    assert v.explanation == ("unknown: Ans(e1) is not derived in 12 chase "
+                             "rounds and the chase has not terminated")
     e1 = Element.named("e1")
     assert v.counterexample == Instance(E, [e1], [("E", (e1, e1))], (e1,))
     assert len(calls) == 2
