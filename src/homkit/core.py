@@ -14,11 +14,20 @@ goes through it.  Its order is fixed: pre-assigned elements (fixed, bound and
 pointed ones) first in sorted order, then the rest of the source's sorted
 domain, each trying the target's elements in sorted order.  So the
 enumeration order, and with it every first witness, is deterministic.
+
+The search works on the target's elements coded as their indexes in its
+sorted domain, with each level's candidates an int bitmask.  A source fact
+is tested by forward checking (Haralick and Elliott, 1980): once all but
+its last level are assigned, it narrows that level's candidates to its
+support in the target, read from support tables kept on the target
+instance.  Narrowing removes only candidates with no completion, so the
+order above is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -176,7 +185,8 @@ def sort_facts(facts: Iterable[Fact]) -> list[Fact]:
 class Instance:
     """A finite relational instance with explicit domain and optional points."""
 
-    __slots__ = ("schema", "domain", "facts", "points", "_hash")
+    # _hash and _index are caches, not state: see __getstate__
+    __slots__ = ("schema", "domain", "facts", "points", "_hash", "_index")
 
     def __init__(self, schema: Schema, domain, facts, points=()):
         self.schema = schema
@@ -203,6 +213,15 @@ class Instance:
             if e not in self.domain:
                 raise HomkitError(f"point {e.ser} not in domain")
         self._hash = None
+        self._index = None  # iter_homomorphisms' target index
+
+    def __getstate__(self):
+        # the caches stay behind: string hashes differ between processes
+        return self.schema, self.domain, self.facts, self.points
+
+    def __setstate__(self, state):
+        self.schema, self.domain, self.facts, self.points = state
+        self._hash = self._index = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -343,8 +362,18 @@ def iter_homomorphisms(
     map every result extends.  If both instances are pointed, points map to
     points componentwise.  Backtracking assigns the pre-assigned elements
     first, in sorted order, then the rest of A's sorted domain, trying
-    candidates in B's sorted order; a fact is checked as soon as its last
-    element in that order is assigned.
+    candidates in B's sorted order.
+
+    B's elements are coded as their indexes in its sorted domain, and each
+    level's candidates form an int bitmask, tried lowest bit first.  A fact
+    whose elements all sit at one level narrows that level's initial
+    candidates; any other fact, with last level j, narrows level j's
+    candidates to its support in B as soon as its second-to-last level is
+    assigned, and an empty candidate set rejects that assignment at once.
+    The narrowings of a level are undone when it moves on.  Only
+    candidates that no homomorphism extends are ever removed, so the
+    sequence of results is that of the plain search that tests each fact
+    once its last element is assigned.
     """
     if iso and (len(A.domain) != len(B.domain)
                 or len(A.facts) != len(B.facts)
@@ -359,78 +388,139 @@ def iter_homomorphisms(
     for src, dst in pairs:
         if pre.setdefault(src, dst) != dst:
             return
-    order = sorted(pre) + [e for e in A.sorted_domain() if e not in pre]
-    level = {e: i for i, e in enumerate(order)}
-    # checks[i]: the facts whose last element is order[i], as (relation,
-    # getter of the argument images)
-    checks: list[list] = [[] for _ in order]
+    # each membership test hashes an Element, so skip them when pre is empty
+    order = (sorted(pre) + [e for e in A.sorted_domain() if e not in pre]
+             if pre else A.sorted_domain())
+    # keyed by serialization: a string caches its hash, an Element does not
+    level = {e.ser: i for i, e in enumerate(order)}
+    b_elems, b_code, supports = _target_index(B)
+    every = (1 << len(b_elems)) - 1
+    dom = [1 << b_code[pre[e].ser] for e in order[:len(pre)]]
+    dom += [every] * (len(order) - len(pre))
+    if iso:
+        occ_a, occ_b = _occurrences(A), _occurrences(B)
+        alike: dict[tuple, int] = {}
+        for c, e in enumerate(b_elems):
+            alike[occ_b[e]] = alike.get(occ_b[e], 0) | 1 << c
+        for i, e in enumerate(order):
+            dom[i] &= alike.get(occ_a[e], 0)
+    # narrow[i]: the facts whose second-to-last level is i, as (last level,
+    # getter of the other levels' codes from the image list, support table)
+    narrow: list[list] = [[] for _ in order]
     for fact in A.facts:
         rel, args = fact
         if not args:
             if fact not in B.facts:
                 return
             continue
-        idx = [level[a] for a in args]
-        checks[max(idx)].append((rel, _args_getter(idx)))
-    b_elems = B.sorted_domain()
-    cands = [(pre[e],) for e in order[:len(pre)]]
-    cands += [b_elems] * (len(order) - len(pre))
-    if iso:
-        occ_a, occ_b = _occurrences(A), _occurrences(B)
-        cands = [[c for c in cs if occ_b[c] == occ_a[e]]
-                 for e, cs in zip(order, cands)]
+        idx = [level[a.ser] for a in args]
+        j = max(idx)
+        # the positions of level j are the ones marked True
+        table = supports[rel, tuple(map(j.__eq__, idx))]
+        others = [k for k in idx if k != j]
+        if others:
+            narrow[max(others)].append((j, itemgetter(*others), table))
+        else:
+            dom[j] &= table.get((), 0)
+    if not all(dom):
+        return
     if not order:
         yield {}
         return
 
-    b_facts = B.facts
     last = len(order) - 1
-    image: list = [None] * len(order)
-    used: set = set()  # in iso mode: the images of levels 0..i-1
-    its = [iter(cands[0])] + [None] * last
+    image = [0] * len(order)
+    rest = [0] * len(order)  # the candidates level i has yet to try
+    trail: list[list] = [[] for _ in order]  # (level, domain before)
+    used = 0  # in iso mode: the images of levels 0..i-1
+    rest[0] = dom[0]
     i = 0
     while i >= 0:
-        for cand in its[i]:
-            if iso and cand in used:
-                continue
-            image[i] = cand
-            for rel, get in checks[i]:
-                if (rel, get(image)) not in b_facts:
-                    break
-            else:
-                break
-        else:
+        undo = trail[i]
+        while undo:
+            j, old = undo.pop()
+            dom[j] = old
+        cands = rest[i]
+        if not cands:
             i -= 1
             if iso and i >= 0:
-                used.discard(image[i])
+                used ^= 1 << image[i]
             continue
-        if i == last:
-            yield dict(zip(order, image))
+        low = cands & -cands
+        rest[i] = cands ^ low
+        image[i] = low.bit_length() - 1
+        for j, get, table in narrow[i]:
+            old = dom[j]
+            new = old & table.get(get(image), 0)
+            if new != old:
+                undo.append((j, old))
+                dom[j] = new
+                if not new:
+                    break
         else:
-            if iso:
-                used.add(cand)
-            i += 1
-            its[i] = iter(cands[i])
+            if i == last:
+                yield dict(zip(order, map(b_elems.__getitem__, image)))
+            else:
+                if iso:
+                    used |= low
+                i += 1
+                rest[i] = dom[i] & ~used
 
 
-def _args_getter(idx: list):
-    """A function taking the image list to the argument tuple at ``idx``."""
-    if len(idx) == 1:
-        j = idx[0]
-        return lambda image: (image[j],)
-    return itemgetter(*idx)
+def _target_index(B: Instance) -> tuple:
+    """B's sorted domain, the code (index) of each element in it by its
+    serialization, and B's support tables; kept on B, which never
+    changes."""
+    if B._index is None:
+        elems = B.sorted_domain()
+        code = {e.ser: c for c, e in enumerate(elems)}
+        B._index = (elems, code, _Supports(B.facts, code))
+    return B._index
+
+
+class _Supports(dict):
+    """Support tables of a target, each built on first use.
+
+    The table under ``(rel, pattern)``, where ``pattern`` marks some
+    positions of ``rel`` True, is for one element repeated at the marked
+    positions.  It maps the codes of the other positions' elements (an int
+    for one position, a tuple for none or several) to the bitmask of the
+    elements e such that the target has the fact of ``rel`` with those
+    elements and e at every marked position.
+    """
+
+    __slots__ = ("facts", "code")
+
+    def __init__(self, facts, code):
+        super().__init__()
+        self.facts, self.code = facts, code
+
+    def __missing__(self, key):
+        rel, pattern = key
+        others = [not at for at in pattern]
+        code, table = self.code, {}
+        for r, args in self.facts:
+            if r != rel:
+                continue
+            codes = [code[a.ser] for a in args]
+            at = set(compress(codes, pattern))
+            if len(at) == 1:
+                sub = tuple(compress(codes, others))
+                if len(sub) == 1:
+                    sub = sub[0]
+                table[sub] = table.get(sub, 0) | 1 << at.pop()
+        self[key] = table
+        return table
 
 
 def _occurrences(inst: Instance) -> dict:
-    """Each element's sorted (relation, position) occurrence list, an
+    """Each element's sorted tuple of (relation, position) occurrences, an
     isomorphism invariant."""
     occ: dict[Element, list] = {e: [] for e in inst.domain}
     for rel, args in inst.facts:
         for i, e in enumerate(args):
             occ[e].append((rel, i))
-    for found in occ.values():
-        found.sort()
-    return occ
+    return {e: tuple(sorted(found)) for e, found in occ.items()}
 
 
 def find_homomorphism(

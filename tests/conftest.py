@@ -157,6 +157,25 @@ def digraph(edges, extra=(), points=()) -> Instance:
                     tuple(elems[p] for p in points))
 
 
+def symmetric_digraph(edges, extra=(), points=()) -> Instance:
+    """A digraph holding both directions of every given edge."""
+    return digraph([e for a, b in edges for e in ((a, b), (b, a))],
+                   extra, points)
+
+
+def mycielski(k: int) -> tuple:
+    """(n, edges) of the Mycielski graph M_k (chromatic number k) on
+    vertices 0..n-1."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        grown = list(edges)
+        for a, b in edges:
+            grown += [(a, n + b), (b, n + a)]
+        grown += [(n + i, 2 * n) for i in range(n)]
+        n, edges = 2 * n + 1, grown
+    return n, edges
+
+
 def rel_instance(rel: str, arity: int, tuples, extra=(),
                  points=()) -> Instance:
     names = {n for t in tuples for n in t} | set(extra) | set(points)

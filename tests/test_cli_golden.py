@@ -1,12 +1,16 @@
 """Golden ``--json`` output: the sha256 of stdout and the exit code of
-in-process ``homkit`` runs for the adjoint, duality and classify commands.
+in-process ``homkit`` runs for the adjoint, duality, classify and hom
+commands.
 
 The digests pin the JSON output byte for byte.  The adjoint and duality
 digests were taken from the code before the pair-element adjoint was
 rewritten to enumerate facts instead of variable assignments; the classify
 digests, which pin ``articulation_witness``, from the code before the
-articulation search became one product.  A mismatch means the output
-changed, and the digest must not be regenerated to make the test pass.
+articulation search became one product; the hom digests, which pin the
+first witness of ``find_homomorphism``, from the code before the search
+went over integer-coded bitmask domains with forward checking.  A mismatch
+means the output changed, and the digest must not be regenerated to make
+the test pass.
 """
 
 import contextlib
@@ -29,8 +33,11 @@ from conftest import (
     make_symmetric_closure,
     make_tc_program,
     make_unfold_program,
+    mycielski,
+    rel_instance,
     sigma1,
     sigma2,
+    symmetric_digraph,
 )
 from homkit.cli import main
 from homkit.core import Element, Instance
@@ -78,6 +85,49 @@ def _js(P) -> dict:
     return out
 
 
+# sources and targets of the ``hom`` cases, besides edge, path and ppath
+HOM_INSTANCES = {
+    "k2": symmetric_digraph([("x", "y")]),
+    "k3": symmetric_digraph([("x", "y"), ("y", "z"), ("x", "z")]),
+    "c5": symmetric_digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]),
+    "m4": symmetric_digraph([(f"m{a:02d}", f"m{b:02d}")
+                             for a, b in mycielski(4)[1]]),
+    "loop": digraph([("a", "a")]),
+    "lollipop": digraph([("a", "b"), ("b", "c"), ("c", "c")]),
+    "dicycle": digraph([("x", "y"), ("y", "z"), ("z", "x")]),
+    "pdicycle": digraph([("x", "y"), ("y", "z"), ("z", "x")],
+                        points=("z",)),
+    "ppath-c": digraph([("a", "b"), ("b", "c")], points=("c",)),
+    "tsrc": rel_instance("T", 3, [("p", "q", "p"), ("q", "r", "r"),
+                                  ("r", "s", "p")]),
+    "tloops": rel_instance("T", 3, [("a", "b", "a"), ("b", "a", "a"),
+                                  ("a", "a", "b"), ("b", "c", "c"),
+                                  ("c", "c", "c"), ("c", "a", "b")]),
+    "tplain": rel_instance("T", 3, [("a", "b", "a"), ("b", "a", "b"),
+                                    ("a", "b", "b")]),
+    "tchain": rel_instance("T", 3, [("a", "b", "c"), ("b", "c", "a")]),
+}
+
+# (source, target) of each ``hom`` case, by instance file name
+HOM_CASES = {
+    "path-k3": ("path", "k3"),
+    "c5-k3": ("c5", "k3"),
+    "c5-k2": ("c5", "k2"),
+    "m4-k3": ("m4", "k3"),
+    "k3-loop": ("k3", "loop"),
+    "path-edge": ("path", "edge"),
+    "edge-path": ("edge", "path"),
+    "path-lollipop": ("path", "lollipop"),
+    "dicycle-lollipop": ("dicycle", "lollipop"),
+    "ppath-pdicycle": ("ppath", "pdicycle"),
+    "ppath-c-lollipop": ("ppath-c", "lollipop"),
+    "ppath-ppath-c": ("ppath", "ppath-c"),
+    "tsrc-tloops": ("tsrc", "tloops"),
+    "tsrc-tplain": ("tsrc", "tplain"),
+    "tsrc-tchain": ("tsrc", "tchain"),
+}
+
+
 def _write_files(d):
     for name, P in PROGRAMS.items():
         for jname, J in _js(P).items():
@@ -91,6 +141,8 @@ def _write_files(d):
         digraph([("a", "b"), ("b", "c")])))
     (d / "ppath.inst").write_text(print_instance(
         digraph([("a", "b"), ("b", "c")], points=("a",))))
+    for name, inst in HOM_INSTANCES.items():
+        (d / f"{name}.inst").write_text(print_instance(inst))
     (d / "sigma1.tgd").write_text(print_tgds(sigma1("E")))
     (d / "sigma2.tgd").write_text(print_tgds(sigma2("E")))
 
@@ -117,6 +169,8 @@ def _cases() -> dict:
             "dualize", "--frontier", f"{inst}.inst", "--minimize")
     for name in CLASSIFIED:
         cases[f"classify-{name}"] = ("classify", f"{name}.dl")
+    for name, (src, dst) in HOM_CASES.items():
+        cases[f"hom-{name}"] = ("hom", f"{src}.inst", f"{dst}.inst")
     for path in FIXTURES.glob("*.dl"):
         cases[f"classify-fixture-{path.stem}"] = (
             "classify", f"fixture-{path.name}")
@@ -125,7 +179,7 @@ def _cases() -> dict:
 
 CASES = _cases()
 
-# sha256 of stdout per case; every case exits 0
+# sha256 of stdout per case
 GOLDEN = {
     "adjoint-disconnected-empty":
         "511c80237c22028e18a2e638bb31c5a2350c04d6ec7f17e97a916772d5f8676d",
@@ -245,6 +299,45 @@ GOLDEN = {
         "a43fa7dd4d5fe1f8976fcacc1b1ffec43796985c7309acbedf2c334b7ed18c56",
     "frontier-ppath-sigma2-abox":
         "54bc197aa96e19cffbed50bc0a307975acf09b1a65c1f5e121ddbdb0041c5610",
+    "hom-c5-k2":
+        "5165d9b07a6997e74f90eb27bbda68d0621978a36283e543f002b69dc749817a",
+    "hom-c5-k3":
+        "04e91f6d047f5639318336b2cce0dad8b5c4d8bdcf177b2ed61900b7b02f21e8",
+    "hom-dicycle-lollipop":
+        "8989b91871aa44d124ba342a331f9c2645e12a83b028c007064937abe2f06731",
+    "hom-edge-path":
+        "eca30dc552d421c2f374dedf789e96d09eade27ca72f5cfc5020ccf94677a8d4",
+    "hom-k3-loop":
+        "85c6167389242de7d99b806a780af937c4ba6193926f3ac8be95db41d1774f02",
+    "hom-m4-k3":
+        "5165d9b07a6997e74f90eb27bbda68d0621978a36283e543f002b69dc749817a",
+    "hom-path-edge":
+        "5165d9b07a6997e74f90eb27bbda68d0621978a36283e543f002b69dc749817a",
+    "hom-path-k3":
+        "5fb5af2749c907b09c9dfdcda33be92c7ef859f864998a4a325b7bf16b2b85c6",
+    "hom-path-lollipop":
+        "164c2de31f1836c2aa9e2153a6b938e0450482fa9eddde0f17ee833d4fec6af2",
+    "hom-ppath-c-lollipop":
+        "164c2de31f1836c2aa9e2153a6b938e0450482fa9eddde0f17ee833d4fec6af2",
+    "hom-ppath-pdicycle":
+        "c73d01becf0c27532f43d74840d1f226860bcc99fb884c6ec88b7f1fee0b2150",
+    "hom-ppath-ppath-c":
+        "5165d9b07a6997e74f90eb27bbda68d0621978a36283e543f002b69dc749817a",
+    "hom-tsrc-tchain":
+        "5165d9b07a6997e74f90eb27bbda68d0621978a36283e543f002b69dc749817a",
+    "hom-tsrc-tloops":
+        "68a4e15048462f524926468d1a100e4ddd70fd2605e7b9e3aaa1ccc785b23d75",
+    "hom-tsrc-tplain":
+        "c64dc2c2df7cadcf394253f0bdae29bcdebe2482ef385cb7428055e0ca88a9d4",
+}
+
+# the cases that exit 1 (no homomorphism); every other case exits 0
+MISSES = {
+    "hom-c5-k2",
+    "hom-m4-k3",
+    "hom-path-edge",
+    "hom-ppath-ppath-c",
+    "hom-tsrc-tchain",
 }
 
 
@@ -271,4 +364,4 @@ def test_every_case_has_a_digest():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_is_unchanged(golden_dir, name):
-    assert run_case(golden_dir, name) == (0, GOLDEN[name])
+    assert run_case(golden_dir, name) == (int(name in MISSES), GOLDEN[name])

@@ -1,8 +1,14 @@
 """Instances, homomorphisms, isomorphism, cores, structure reports."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from conftest import digraph
+import homkit
 from homkit.core import (
     Element,
     HomkitError,
@@ -123,3 +129,40 @@ def test_structure_report():
     assert rep.c_acyclic
     two = digraph([("a", "b"), ("c", "d")])
     assert not structure_report(two).connected
+
+
+PICKLE_SCRIPT = """
+import pickle, sys
+from homkit.core import Element, Instance, Schema, iter_homomorphisms
+a, b = Element.named("a"), Element.named("b")
+I = Instance(Schema([("E", 2)]), [a, b], [("E", (a, b)), ("E", (b, b))],
+             (a,))
+if sys.argv[1] == "dump":
+    hash(I)
+    list(iter_homomorphisms(I, I))
+    print(pickle.dumps(I).hex())
+else:
+    J = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    print(J._hash is None and J._index is None, J == I, J in {I},
+          len(list(iter_homomorphisms(J, I))))
+"""
+
+
+def test_pickled_instance_leaves_its_caches_behind():
+    """A cached hash is only valid under the string hashing of the process
+    that computed it, so it must not travel with a pickle."""
+    src = str(pathlib.Path(homkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(seed, mode, stdin=""):
+        done = subprocess.run(
+            [sys.executable, "-c", PICKLE_SCRIPT, mode], input=stdin,
+            capture_output=True, text=True, timeout=60,
+            env=dict(env, PYTHONHASHSEED=seed))
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    dumped = run("1", "dump")
+    assert run("2", "load", dumped).split() == ["True"] * 3 + ["1"]

@@ -1,4 +1,5 @@
-"""The homomorphism engine against brute-force map enumeration.
+"""The homomorphism engine against brute-force map enumeration and against
+its previous version.
 
 Seeded random instances with at most 4 elements over E/2, U/1 and a 0-ary
 relation Z, with fixed elements, bindings and points.  The reference
@@ -6,11 +7,20 @@ enumerates every map with ``itertools.product`` in the engine's documented
 order (pre-assigned elements first in sorted order, then the rest of the
 sorted source domain; target elements in sorted order) and keeps those that
 preserve facts.
+
+The search before forward checking, kept in ``hom_reference.py``, must yield
+the same full sequence of maps on sources of up to 6 elements and targets of
+up to 4 over E/2, T/3, U/1 and Z/0 (loops and repeated arguments included,
+with fixed elements, bindings, points and in iso mode), and the same first
+witness on planted 3-colourable graphs and relabelled Mycielski graphs M4
+into K3.
 """
 
 import itertools
 import random
 
+import hom_reference
+from conftest import mycielski, symmetric_digraph
 from homkit.core import (
     Element,
     Instance,
@@ -136,3 +146,108 @@ def test_core_of_has_smallest_retract_size():
         assert C.points == A.points
         assert find_homomorphism(A, C) is not None
         assert find_homomorphism(C, A) is not None
+
+
+# -- the search against its own previous version ----------------------------
+
+WIDE = Schema([("E", 2), ("T", 3), ("U", 1), ("Z", 0)])
+WIDE_POOL = [Element.named(s) for s in "abcdef"]
+
+
+def wide_instance(rng, n, k=None) -> Instance:
+    """A random instance over E, T, U and Z on ``n`` elements of the pool,
+    with loops and ternary facts that repeat an argument."""
+    dom = sorted(rng.sample(WIDE_POOL, n))
+    density = rng.choice([0.15, 0.3, 0.5])
+    facts = [("E", (x, y)) for x in dom for y in dom if rng.random() < density]
+    facts += [("U", (x,)) for x in dom if rng.random() < density]
+    for _ in range(rng.randint(0, 3) if dom else 0):
+        x, y = rng.choice(dom), rng.choice(dom)
+        facts.append(("T", rng.choice([(x, y, rng.choice(dom)), (x, y, x),
+                                       (y, x, x), (x, x, y), (x, x, x)])))
+    if rng.random() < 0.3:
+        facts.append(("Z", ()))
+    k = rng.choice([0, 0, 1, 2]) if k is None else k
+    points = tuple(rng.choice(dom) for _ in range(k)) if dom else ()
+    return Instance(WIDE, dom, facts, points)
+
+
+def test_sequences_match_previous_search():
+    rng = random.Random(14)
+    hits = 0
+    for _ in range(TRIALS):
+        A = wide_instance(rng, rng.randint(0, 6))
+        B = wide_instance(rng, rng.randint(0, 4))
+        if A.points and B.points and len(A.points) != len(B.points):
+            B = B.with_points(())
+        common = sorted(A.domain & B.domain)
+        fixed = [e for e in common if rng.random() < 0.3]
+        bindings = {}
+        if A.domain and B.domain and rng.random() < 0.4:
+            bindings[rng.choice(sorted(A.domain))] = \
+                rng.choice(sorted(B.domain))
+        expected = list(hom_reference.iter_homomorphisms(A, B, fixed,
+                                                         bindings))
+        got = list(iter_homomorphisms(A, B, fixed, bindings))
+        assert got == expected, (A, B, fixed, bindings)
+        hits += bool(expected)
+    assert 0.2 * TRIALS < hits < 0.8 * TRIALS
+
+
+def test_isomorphism_sequences_match_previous_search():
+    rng = random.Random(15)
+    positives = 0
+    for _ in range(TRIALS):
+        A = wide_instance(rng, rng.randint(0, 5))
+        if rng.random() < 0.6:
+            src = sorted(A.domain)
+            h = dict(zip(src, rng.sample(src, len(src))))
+            B = Instance(WIDE, A.domain,
+                         [(rel, tuple(h[a] for a in args))
+                          for rel, args in A.facts],
+                         tuple(h[p] for p in A.points))
+        else:
+            B = wide_instance(rng, len(A.domain), len(A.points))
+        expected = list(hom_reference.iter_homomorphisms(A, B, iso=True))
+        assert list(iter_homomorphisms(A, B, iso=True)) == expected, (A, B)
+        positives += bool(expected)
+    assert 0.2 * TRIALS < positives < 0.9 * TRIALS
+
+
+def planted_graph(rng, gadgets=6, size=9, degree=4.0) -> Instance:
+    """A chain of random gadgets, each 3-colourable by a planted colouring,
+    consecutive gadgets joined by one properly coloured edge."""
+    labels, edges, colour = [], set(), {}
+    for g in range(gadgets):
+        local = [f"g{g}v{i}" for i in range(size)]
+        rng.shuffle(local)
+        for i, v in enumerate(local):
+            colour[v] = i % 3
+        pairs = [(a, b) for a, b in itertools.combinations(local, 2)
+                 if colour[a] != colour[b]]
+        edges.update(rng.sample(pairs, min(int(size * degree / 2),
+                                           len(pairs))))
+        if labels:
+            a = rng.choice(labels[-size:])
+            edges.add((a, rng.choice([v for v in local
+                                      if colour[v] != colour[a]])))
+        labels += local
+    return symmetric_digraph(sorted(edges), extra=labels)
+
+
+def relabelled_m4(rng) -> Instance:
+    """The Mycielski graph M4 (chromatic number 4) under random names."""
+    n, edges = mycielski(4)
+    labels = [f"m{i}" for i in range(n)]
+    rng.shuffle(labels)
+    return symmetric_digraph([(labels[a], labels[b]) for a, b in edges])
+
+
+def test_colouring_witnesses_match_previous_search():
+    rng = random.Random(16)
+    k3 = symmetric_digraph([("x", "y"), ("y", "z"), ("x", "z")])
+    for G in [planted_graph(rng) for _ in range(4)] + \
+            [relabelled_m4(rng) for _ in range(4)]:
+        expected = next(hom_reference.iter_homomorphisms(G, k3), None)
+        assert next(iter_homomorphisms(G, k3), None) == expected
+        assert (expected is None) == (len(G.domain) == 11)
