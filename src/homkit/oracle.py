@@ -9,6 +9,12 @@ In the ABox category of a dependency set, a morphism A -> B is a map that
 extends to a homomorphism of the chases; by universality of the chase that
 holds exactly when A maps into the chase of B, so one homomorphism search
 into B's chase decides it (Fagin, Kolaitis, Miller and Popa, TCS 2005).
+A chase cut off at its round bound is a prefix, so the answer is
+three-valued: "yes", "no" or "unknown".  Every "does some member map"
+question (a frontier member into (C, c), (C, c) into a dual, a query's
+disjunct into an example) goes through ``_some_map``, which folds the
+answers by strong Kleene disjunction: any "yes", then any "unknown", then
+"no".
 
 The duality and adjoint verdicts are invariant under isomorphism of the
 enumerated instance whenever every chase they read runs to its fixpoint
@@ -106,14 +112,13 @@ def count_instances(schema: Schema, max_domain: int) -> int:
 
 def _is_model(C: Instance, P_sigma: Program) -> bool:
     """Does the chase of C add nothing new, up to homomorphic equivalence
-    fixing the active domain of C?  ``P_sigma`` terminates."""
+    fixing the active domain of C?  ``P_sigma`` terminates, and C is an
+    unpointed instance over its base schema."""
     chased, _ = chase_theory(P_sigma, C)
-    base = P_sigma.s_aux
-    keep = set(chased.active_domain) | set(C.active_domain)
-    chased = Instance(base, keep, chased.facts)
     fixed = sorted(set(C.active_domain))
-    target = Instance(base, set(C.domain) | set(fixed), C.facts)
-    return find_homomorphism(chased, target, fixed=fixed) is not None
+    chased = Instance(P_sigma.s_aux, set(chased.active_domain) | set(fixed),
+                      chased.facts)
+    return find_homomorphism(chased, C, fixed=fixed) is not None
 
 
 def enumerate_instances(schema: Schema, max_domain: int,
@@ -207,8 +212,8 @@ def _least_in_orbit(pts: tuple, autos, rank: dict) -> bool:
 
 
 def _relation_closure(P: Program, seeds: set[str]) -> set[str]:
-    """Relations that can ever hold in a chase whose input relations with
-    facts are ``seeds``."""
+    """Relations that can ever hold in a chase of P once the relations
+    ``seeds`` hold facts."""
     reachable = set(seeds)
     changed = True
     while changed:
@@ -238,7 +243,9 @@ def _abox_decide(P_sigma: Program, A: Instance, A_chase, B: Instance,
 
     "yes" when A maps into B's chase, a prefix of the full one; "no" when
     B's chase terminated, or when A's chase holds a relation that no chase
-    of B can ever derive; "unknown" otherwise.
+    of B can ever derive (the closure runs from B's base relations: under
+    the copy rules of ``tgd_compile`` a base relation is reachable exactly
+    when its output copy is); "unknown" otherwise.
     """
     source = adom_instance(A)
     if source.schema != P_sigma.s_aux:
@@ -248,10 +255,10 @@ def _abox_decide(P_sigma: Program, A: Instance, A_chase, B: Instance,
         return "yes"
     if terminated:
         return "no"
-    reach = _relation_closure(P_sigma, {f"{rel}_in" for rel, _ in B.facts})
+    reach = _relation_closure(P_sigma, {rel for rel, _ in B.facts})
     if A_chase is None:
         A_chase = _abox_chase(P_sigma, A)
-    if any(f"{rel}_out" not in reach for rel, _ in A_chase[0].facts):
+    if any(rel not in reach for rel, _ in A_chase[0].facts):
         return "no"
     return "unknown"
 
@@ -274,40 +281,24 @@ def abox_morphism(sigma, A: Instance, B: Instance,
 # ---------------------------------------------------------------------------
 
 
-def _some_yes(answers) -> Optional[bool]:
-    """Fold "yes" / "no" / "unknown" answers: any "yes" wins, then any
-    "unknown" (None), then "no"."""
+def _some_map(pairs, P_sigma: Optional[Program] = None) -> str:
+    """Does some source map into its target?  Each pair is ((A, A_chase),
+    (B, B_chase)), a chase from ``_abox_chase`` or None.  Without
+    ``P_sigma`` a pair is a homomorphism A -> B; with it, an ABox morphism
+    that maps A's points to B's (``_abox_decide``).  "yes" at the first
+    pair that maps, else "unknown" when some pair was unknown, else "no":
+    strong Kleene disjunction."""
     unknown = False
-    for ans in answers:
+    for (A, A_chase), (B, B_chase) in pairs:
+        if P_sigma is None:
+            ans = "no" if find_homomorphism(A, B) is None else "yes"
+        else:
+            ans = _abox_decide(P_sigma, A, A_chase, B, B_chase,
+                               dict(zip(A.points, B.points)))
         if ans == "yes":
-            return True
+            return ans
         unknown = unknown or ans == "unknown"
-    return None if unknown else False
-
-
-def _frontier_hit(F, C: Instance, abox=None) -> Optional[bool]:
-    """Is (C, c) in the upward closure of an explicit frontier?  None =
-    unknown.  In the ABox category ``abox`` is (P_sigma, the members'
-    chases, C's chase)."""
-    if abox is None:
-        C_adom = adom_instance(C)
-        return any(find_homomorphism(A, C_adom) is not None for A in F)
-    P_sigma, F_chases, C_chase = abox
-    return _some_yes(
-        _abox_decide(P_sigma, A, A_chase, C, C_chase,
-                     dict(zip(A.points, C.points)))
-        for A, A_chase in zip(F, F_chases))
-
-
-def _dual_hit(D, C: Instance, abox=None) -> Optional[bool]:
-    if abox is None:
-        C_adom = adom_instance(C)
-        return any(find_homomorphism(C_adom, d) is not None for d in D)
-    P_sigma, D_chases, C_chase = abox
-    return _some_yes(
-        _abox_decide(P_sigma, C, C_chase, d, d_chase,
-                     dict(zip(C.points, d.points)))
-        for d, d_chase in zip(D, D_chases))
+    return "unknown" if unknown else "no"
 
 
 def verify_duality(F, D, B: int = 3, sigma=None,
@@ -345,52 +336,54 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         schema = probe.schema
         k = len(probe.points)
     filt = sigma if (sigma is not None and category == "relative") else None
-    F_abox = D_abox = None
+    P_sigma = None
     if category == "abox":
         if sigma is None:
             raise OracleError("the abox category needs a dependency set")
         P_sigma = tgd_compile(tuple(sigma), schema)
-        F_chases = [] if generator else [_abox_chase(P_sigma, A) for A in F]
-        D_chases = [_abox_chase(P_sigma, d) for d in duals]
+
+    def side(X: Instance) -> tuple:
+        return X, None if P_sigma is None else _abox_chase(P_sigma, X)
+
+    F_sides = [] if generator else [side(A) for A in F]
+    D_sides = [side(d) for d in duals]
     up_to_iso = (not generator or F[0].terminates) and \
-        (category != "abox" or P_sigma.terminates)
+        (P_sigma is None or P_sigma.terminates)
     for C, autos in _class_representatives(schema, B, filt, up_to_iso):
         if k and not C.domain:
             continue  # no point tuples
         if generator:
             res = run_program(F[0], C, budget=PROGRAM_ROUNDS)
             derived = res.output.facts
-        if category == "abox":
+        if P_sigma is not None:
             C_chase = _abox_chase(P_sigma, C)
-            F_abox = (P_sigma, F_chases, C_chase)
-            D_abox = (P_sigma, D_chases, C_chase)
         order = C.sorted_domain()
         rank = {e: i for i, e in enumerate(order)}
         for pts in itertools.product(order, repeat=k):
             if not _least_in_orbit(pts, autos, rank):
                 continue
             Cp = C.with_points(pts) if k else C
+            C_side = (adom_instance(Cp), None) if P_sigma is None else \
+                (Cp, C_chase)
             if generator:
-                fin = (F[1], pts) in derived
-                if not fin and not res.terminated:
-                    # a miss in a chase prefix decides nothing
-                    return Verdict(
-                        False, B, Cp, unknown=True,
-                        explanation=f"unknown: {fact_ser((F[1], pts))} is "
-                                    f"not derived in {PROGRAM_ROUNDS} chase "
-                                    "rounds and the chase has not "
-                                    "terminated")
+                # a miss in a chase prefix decides nothing
+                fin = "yes" if (F[1], pts) in derived else (
+                    "no" if res.terminated else "unknown")
             else:
-                fin = _frontier_hit(F, Cp, F_abox)
-            din = _dual_hit(duals, Cp, D_abox)
-            if fin is None or din is None:
+                fin = _some_map([(A, C_side) for A in F_sides], P_sigma)
+            din = _some_map([(C_side, d) for d in D_sides], P_sigma)
+            if "unknown" in (fin, din):
+                expl = (f"{fact_ser((F[1], pts))} is not derived in "
+                        f"{PROGRAM_ROUNDS} chase rounds and the chase has "
+                        "not terminated"
+                        if generator and fin == "unknown" else
+                        "bounded chase could not decide a morphism for "
+                        "this instance")
                 return Verdict(False, B, Cp, unknown=True,
-                               explanation="unknown: bounded chase could "
-                                           "not decide a morphism for this "
-                                           "instance")
+                               explanation=f"unknown: {expl}")
             if fin == din:
                 side = ("in both the frontier's and the duals' closure"
-                        if fin else "in neither closure")
+                        if fin == "yes" else "in neither closure")
                 return Verdict(False, B, Cp,
                                explanation=f"instance is {side}")
     return Verdict(True, B)

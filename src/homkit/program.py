@@ -869,7 +869,8 @@ def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
         new_frontier = []
         for head_args, body in frontier:
             if all(a.rel not in aux_names for a in body):
-                results.append((head_args, body))
+                # without repeated atoms, isomorphic results share a bucket
+                results.append((head_args, tuple(dict.fromkeys(body))))
                 continue
             if step == depth:
                 continue
@@ -895,12 +896,9 @@ def unfoldings(P: Program, R: str, depth: int) -> list[Instance]:
         if not frontier:
             break
 
-    out: list[Instance] = []
-    for head_args, body in results:
-        inst = canonical_instance(body, P.s_in, head_args)
-        if not any(isomorphic(inst, o) for o in out):
-            out.append(inst)
-    return sorted(out, key=lambda i: i.canonical_key())
+    return sorted((canonical_instance(body, P.s_in, head_args)
+                   for head_args, body in dedupe(results)),
+                  key=lambda i: i.canonical_key())
 
 
 # ---------------------------------------------------------------------------

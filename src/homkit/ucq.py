@@ -18,16 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chase import _join, _Store
-from .core import (
-    HomkitError,
-    Instance,
-    Schema,
-    find_homomorphism,
-    structure_report,
-)
+from .core import HomkitError, Instance, Schema, structure_report
 from .duality import abox_dual, dual_wrt_theory
-from .oracle import Verdict, _abox_chase, _abox_decide, _some_yes, \
-    verify_duality
+from .oracle import Verdict, _abox_chase, _some_map, verify_duality
 from .program import Atom, canonical_instance, tgd_compile, tgd_schema
 
 
@@ -182,32 +175,29 @@ def _misfit(q: UCQ, ex: ExampleSet):
     canonical instance maps, answer variables to a, into A (model mode) or
     into A's chase (ABox mode: certain answers are answers on the chase,
     Fagin, Kolaitis, Miller and Popa, TCS 2005), decided by
-    ``oracle._abox_decide`` with each example chased once."""
+    ``oracle._some_map`` with each example chased once."""
     labeled = [(A, "yes") for A in ex.positives] + \
         [(A, "no") for A in ex.negatives]
     for A, _ in labeled:
         if len(A.points) != q.arity:
             raise QueryError("example arity does not match the query")
+    P_sigma = None
     if ex.mode == "abox":
         schema = Schema([])
         for A, _ in labeled:
             schema = schema.union(A.schema)
         P_sigma = tgd_compile(tuple(ex.theory or ()), schema)
         _check_schema(q, P_sigma.s_aux)
-        sources = canonical_instances(q, P_sigma.s_aux)
-        source_chases = [_abox_chase(P_sigma, ci) for ci in sources]
+        sources = [(ci, _abox_chase(P_sigma, ci))
+                   for ci in canonical_instances(q, P_sigma.s_aux)]
     for A, want in labeled:
-        if ex.mode == "model":
+        if P_sigma is None:
             _check_schema(q, A.schema)
-            hit = any(find_homomorphism(ci, A) is not None
-                      for ci in canonical_instances(q, A.schema))
-            got = "yes" if hit else "no"
+            sources = [(ci, None) for ci in canonical_instances(q, A.schema)]
+            A_side = (A, None)
         else:
-            A_chase = _abox_chase(P_sigma, A)
-            hit = _some_yes(
-                _abox_decide(P_sigma, ci, ci_chase, A, A_chase, {})
-                for ci, ci_chase in zip(sources, source_chases))
-            got = {True: "yes", None: "unknown", False: "no"}[hit]
+            A_side = (A, _abox_chase(P_sigma, A))
+        got = _some_map([(ci, A_side) for ci in sources], P_sigma)
         if got != want:
             return A, got
     return None

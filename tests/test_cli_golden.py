@@ -1,6 +1,6 @@
 """Golden ``--json`` output: the sha256 of stdout and the exit code of
 in-process ``homkit`` runs for the adjoint, duality, classify and hom
-commands.
+commands, and for the verdicts of characterize, dualize and verify.
 
 The digests pin the JSON output byte for byte.  The adjoint and duality
 digests were taken from the code before the pair-element adjoint was
@@ -8,9 +8,12 @@ rewritten to enumerate facts instead of variable assignments; the classify
 digests, which pin ``articulation_witness``, from the code before the
 articulation search became one product; the hom digests, which pin the
 first witness of ``find_homomorphism``, from the code before the search
-went over integer-coded bitmask domains with forward checking.  A mismatch
-means the output changed, and the digest must not be regenerated to make
-the test pass.
+went over integer-coded bitmask domains with forward checking; the
+verdict digests, which pin ``verified``, ``unknown`` and the first
+counterexample in the plain, relative and ABox categories, from the code
+before the oracle's "does some member map" answers became one
+three-valued helper.  A mismatch means the output changed, and the digest
+must not be regenerated to make the test pass.
 """
 
 import contextlib
@@ -128,6 +131,52 @@ HOM_CASES = {
 }
 
 
+# queries of the ``characterize`` cases
+QUERIES = {
+    "edge": "query q/2\n(x,y) :- E(x,y).\n",
+    "mid": "query q/1\n(y) :- E(x,y), E(y,z).\n",
+    "some-edge": "query q/0\n() :- E(x,y).\n",
+}
+
+# verdict cases: pass, fail and unknown in each category
+VERDICTS = {
+    "characterize-edge-sigma1": (
+        "characterize", "edge.q", "--theory", "sigma1.tgd",
+        "--adjoint-program", "rewrite.dl", "--verify", "2"),
+    "characterize-mid-sigma1": (
+        "characterize", "mid.q", "--theory", "sigma1.tgd",
+        "--adjoint-program", "rewrite.dl", "--verify", "2"),
+    "characterize-edge-sigma2-abox": (
+        "characterize", "edge.q", "--theory", "sigma2.tgd", "--abox",
+        "--verify", "2"),
+    "characterize-mid-sigma2-abox": (
+        "characterize", "mid.q", "--theory", "sigma2.tgd", "--abox",
+        "--verify", "2"),
+    "characterize-some-edge-sigma2-abox": (
+        "characterize", "some-edge.q", "--theory", "sigma2.tgd", "--abox",
+        "--verify", "2"),
+    "verify-frontier-edge-sigma2-abox": (
+        "dualize", "--frontier", "edge.inst", "--theory", "sigma2.tgd",
+        "--abox", "--verify", "2"),
+    "verify-frontier-path-sigma2-abox": (
+        "dualize", "--frontier", "path.inst", "--theory", "sigma2.tgd",
+        "--abox", "--verify", "2"),
+    "verify-dualize-inclusion-R_out": (
+        "dualize", "--program", "fixture-inclusion.dl", "--rel", "R_out",
+        "--verify", "2"),
+    "verify-duality-edge-loop": (
+        "verify", "duality", "--frontier", "edge.inst", "--dual",
+        "loop.inst", "-B", "2"),
+    "verify-duality-edge-loop-abox": (
+        "verify", "duality", "--frontier", "edge.inst", "--dual",
+        "loop.inst", "--theory", "sigma2.tgd", "--category", "abox",
+        "-B", "2"),
+    "verify-duality-path-edge-sigma1": (
+        "verify", "duality", "--frontier", "path.inst", "--dual",
+        "edge.inst", "--theory", "sigma1.tgd", "-B", "2"),
+}
+
+
 def _write_files(d):
     for name, P in PROGRAMS.items():
         for jname, J in _js(P).items():
@@ -145,6 +194,8 @@ def _write_files(d):
         (d / f"{name}.inst").write_text(print_instance(inst))
     (d / "sigma1.tgd").write_text(print_tgds(sigma1("E")))
     (d / "sigma2.tgd").write_text(print_tgds(sigma2("E")))
+    for name, text in QUERIES.items():
+        (d / f"{name}.q").write_text(text)
 
 
 def _cases() -> dict:
@@ -174,6 +225,7 @@ def _cases() -> dict:
     for path in FIXTURES.glob("*.dl"):
         cases[f"classify-fixture-{path.stem}"] = (
             "classify", f"fixture-{path.name}")
+    cases.update(VERDICTS)
     return cases
 
 
@@ -229,6 +281,16 @@ GOLDEN = {
         "42483eb42469749942432a513047babdd956256211369aa170aa7f6f8ad3cc21",
     "adjoint-unfold-most":
         "665f5a70f72c4333f9e8a91f51d724cdd2ce13e6b21539428f0c29f4e7ce3b96",
+    "characterize-edge-sigma1":
+        "ffc91e5d1888c3e0769d4af3d194b60dd00cdc44b2cae5c4d098d5483d02a76c",
+    "characterize-edge-sigma2-abox":
+        "84bb3eec7d87d8872a0777465bde4e50bf030851a91e3ef59c18d2654a36a01b",
+    "characterize-mid-sigma1":
+        "740c77db51af43f03d9741aa9a378cc75cdf3cb7e65f48bcd4a43dcef8489116",
+    "characterize-mid-sigma2-abox":
+        "a56d9a5bdf049aa450b92556cc463c27d8292160187a53c8caa76607d0591e61",
+    "characterize-some-edge-sigma2-abox":
+        "2748933b3e3d6bc9da3b129c72af31838115c22b910cfbf117c76832cb3b8ab9",
     "classify-disconnected":
         "2e8e605d7cc1b27d3fe80f1d67b4135e62ce4c36811e542ab96acad6a48ed0a6",
     "classify-ef":
@@ -329,25 +391,43 @@ GOLDEN = {
         "68a4e15048462f524926468d1a100e4ddd70fd2605e7b9e3aaa1ccc785b23d75",
     "hom-tsrc-tplain":
         "c64dc2c2df7cadcf394253f0bdae29bcdebe2482ef385cb7428055e0ca88a9d4",
+    "verify-duality-edge-loop":
+        "4538e8db5cf02770d03a1fafe035b6f150004dc99a364fe94d0d2db17fd54518",
+    "verify-duality-edge-loop-abox":
+        "4538e8db5cf02770d03a1fafe035b6f150004dc99a364fe94d0d2db17fd54518",
+    "verify-duality-path-edge-sigma1":
+        "89bb4aaf0f76f4fc8efc2c1184016cf7d94504220b1afdc352b389907e4de769",
+    "verify-dualize-inclusion-R_out":
+        "842f49b071d0ba70a5411c62fc34b6c436c13872fd4ef9b4d842d9f36a42b3e2",
+    "verify-frontier-edge-sigma2-abox":
+        "36104c73273d29355317eae92a7fc7685e20a734c0ce1da043d21139508d4e56",
+    "verify-frontier-path-sigma2-abox":
+        "8b972b42826e9bdefde55e798a0115552590b6fb90c4a351dbf92216b7f6d6e2",
 }
 
-# the cases that exit 1 (no homomorphism); every other case exits 0
-MISSES = {
+# the cases that exit 1 (no homomorphism, or a failing or unknown
+# verdict); every other case exits 0
+NEGATIVE = {
+    "characterize-edge-sigma2-abox",
+    "characterize-mid-sigma2-abox",
     "hom-c5-k2",
     "hom-m4-k3",
     "hom-path-edge",
     "hom-ppath-ppath-c",
     "hom-tsrc-tchain",
+    "verify-duality-edge-loop",
+    "verify-duality-edge-loop-abox",
+    "verify-dualize-inclusion-R_out",
 }
 
 
-def run_case(d, name: str) -> tuple:
-    """(exit code, sha256 of stdout) of one case run in-process."""
-    argv = [str(d / a) if a.endswith((".dl", ".inst", ".tgd")) else a
-            for a in CASES[name]]
+def run_case(name: str) -> tuple:
+    """(exit code, sha256 of stdout) of one case run in-process, its file
+    names relative to the working directory (the query file's name is part
+    of the characterize output)."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv + ["--json"])
+        code = main(list(CASES[name]) + ["--json"])
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -363,5 +443,6 @@ def test_every_case_has_a_digest():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_json_output_is_unchanged(golden_dir, name):
-    assert run_case(golden_dir, name) == (int(name in MISSES), GOLDEN[name])
+def test_json_output_is_unchanged(golden_dir, monkeypatch, name):
+    monkeypatch.chdir(golden_dir)
+    assert run_case(name) == (int(name in NEGATIVE), GOLDEN[name])

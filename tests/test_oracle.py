@@ -332,6 +332,20 @@ def test_abox_morphism_is_its_definition_when_chases_terminate():
     assert seen == {"yes", "no"}
 
 
+def test_abox_no_certificate_from_unreachable_relations():
+    # under E(x,y) -> exists z : E(y,z) no chase of E facts ever derives
+    # F, so a source with an F fact maps into no chase of such a target,
+    # although the chase never terminates
+    EF = Schema([("E", 2), ("F", 2)])
+    a, b, c, d = (Element.named(n) for n in "abcd")
+    F_ab = Instance(EF, [a, b], [("F", (a, b))])
+    E_cd = Instance(EF, [c, d], [("E", (c, d))])
+    assert abox_morphism(sigma2("E"), F_ab, E_cd) == "no"
+    v = verify_duality([F_ab], [Instance(EF, [a], [("E", (a, a))])], 2,
+                       sigma=sigma2("E"), category="abox")
+    assert v.passed and not v.unknown
+
+
 def test_abox_verify_chases_each_instance_once(monkeypatch):
     sigma = sigma2("E")
     d = abox_dual(sigma, [digraph([("a", "b")])])

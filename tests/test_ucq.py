@@ -217,12 +217,12 @@ def test_abox_fit_stops_at_the_first_yes(monkeypatch):
     ex = ExampleSet((digraph([("a", "b")]),), (), mode="abox",
                     theory=sigma2("E"))
     answers = []
-    real_decide = ucq._abox_decide
+    real_decide = oracle._abox_decide
 
     def counted_decide(*args):
         answers.append(real_decide(*args))
         return answers[-1]
 
-    monkeypatch.setattr(ucq, "_abox_decide", counted_decide)
+    monkeypatch.setattr(oracle, "_abox_decide", counted_decide)
     assert fits(q, ex)
     assert answers == ["yes"]
