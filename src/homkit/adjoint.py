@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chase import _join, _Store
+from .chase import _plan, _Store
 from .core import (
     BOTTOM,
     CapExceeded,
@@ -294,8 +294,9 @@ def sl_adjoint(P: Program, J: Instance) -> AdjointResult:
     domain(J) ∪ {⊥} whose facts all chase into J.  From all input/aux
     facts over that domain plus exactly J's facts, every fact with a body
     match that has no head witness left (the restricted chase's trigger
-    check, ``chase._join`` on the rule's head) is removed, all at once,
-    until none is: a greatest fixpoint, so the order is immaterial.
+    check, run by a ``chase._plan`` of the rule's head with the body
+    variables bound) is removed, all at once, until none is: a greatest
+    fixpoint, so the order is immaterial.
     """
     if J.schema.relations != P.s_out.relations:
         raise AdjointError("J must be an instance over the output schema")
@@ -308,19 +309,20 @@ def sl_adjoint(P: Program, J: Instance) -> AdjointResult:
              for rel, arity in P.s_in.union(P.s_aux).relations
              for args in itertools.product(D, repeat=arity)}
     facts.update(J.facts)
-    rules_by_body: dict[str, list[Rule]] = {}
+    # per body relation, the head plans of its rules: a body is one
+    # repetition-free atom, so its argument tuple binds the body variables
+    heads: dict[str, list] = {}
     for rule in P.rules:
-        rules_by_body.setdefault(rule.body_atoms[0].rel, []).append(rule)
+        heads.setdefault(rule.body_atoms[0].rel, []).append(
+            _plan(tuple((False, a) for a in rule.head_atoms),
+                  rule.body_atoms[0].args))
 
-    # a body is one repetition-free atom, so zipping it with a fact is a
-    # match; an existential in no head atom stays unbound, as D is not empty
+    # an existential in no head atom stays unbound, as D is not empty
     while True:
         store = _Store(P.full_schema(), facts)
         dead = {(rel, args) for rel, args in facts
-                for rule in rules_by_body.get(rel, ())
-                if next(_join(rule.head_atoms, store,
-                              dict(zip(rule.body_atoms[0].args, args))),
-                        None) is None}
+                for head in heads.get(rel, ())
+                if next(head(store, None, *args), None) is None}
         if not dead:
             break
         facts -= dead

@@ -73,6 +73,26 @@ def node(rel: str, index: int, children) -> TreeTerm:
     return TreeTerm("node", rel=rel, index=index, children=tuple(children))
 
 
+_NO_LABELS = frozenset()
+_set = object.__setattr__
+
+
+def _node(rel: str, index: int, children: tuple) -> TreeTerm:
+    """``node`` for arguments valid by construction (a relation, 1 <=
+    index <= len(children), children a non-empty tuple): skips the checks
+    of ``__post_init__``.  Fields are set one by one in declaration order,
+    as the dataclass ``__init__`` does, so terms keep the compact
+    attribute layout (a ``__dict__.update`` costs 128 bytes more a
+    term)."""
+    t = object.__new__(TreeTerm)
+    _set(t, "op", "node")
+    _set(t, "labels", _NO_LABELS)
+    _set(t, "rel", rel)
+    _set(t, "index", index)
+    _set(t, "children", children)
+    return t
+
+
 def term_to_tree(t: TreeTerm, schema: Schema) -> Instance:
     """The pointed instance denoted by a term, over the full S ∪ X schema."""
     counter = itertools.count(1)
@@ -173,7 +193,7 @@ def enumerate_terms(schema: Schema, labels, depth: int) -> Iterator[TreeTerm]:
                     continue
                 kids = tuple(all_terms[k] for k in idx)
                 for i in range(1, arity + 1):
-                    fresh.append(node(rel, i, kids))
+                    fresh.append(_node(rel, i, kids))
         yield from fresh
         start = len(all_terms)
         all_terms += fresh

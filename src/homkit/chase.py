@@ -10,12 +10,14 @@ compiled by ``program.tgd_compile``.
 
 The two chases keep their facts in a ``_Store``: one set of argument tuples per
 relation, plus hash indexes keyed on ``(relation, bound positions)``.  An
-index is built on its first lookup and updated on every insert after that.
-``_join`` is the single join: it matches atoms left to right, looking each
-one up through the index for the positions the assignment already binds, and
-iterates over a copy of the bucket, never the live one.  Body matches,
-semi-naive delta pins, the restricted chase's head check, the head check
-of ``adjoint.sl_adjoint`` and ``ucq.evaluate`` all go through it.
+index is built on its first use and updated on every insert after that.
+Every join is a compiled plan: ``_plan`` generates, once per (atoms, bound
+variables, output variables), a Python generator function with one nested
+loop per atom.  The function fetches each atom's index bucket table once
+per call, iterates over a copy of each bucket, never the live one, and
+yields the output variables' values.  Body matches, semi-naive delta pins,
+the restricted chase's head check, the head check of
+``adjoint.sl_adjoint`` and ``ucq.evaluate`` all run through it.
 
 Steps are counted in rounds: one round visits every rule in file order, and
 a chase terminates when a full round adds nothing.  Three points fix
@@ -44,6 +46,8 @@ a chase terminates when a full round adds nothing.  Three points fix
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Optional
 
 from .core import Element, HomkitError, Instance, Schema, SchemaMismatch
@@ -78,10 +82,9 @@ class _Store:
     """Argument tuples per relation, with lazily built hash indexes on
     bound argument positions."""
 
-    __slots__ = ("arity", "facts", "indexes")
+    __slots__ = ("facts", "indexes")
 
     def __init__(self, schema: Schema, facts=()):
-        self.arity = schema.as_dict()
         self.facts: dict[str, set] = {rel: set() for rel in schema.names}
         # relation -> bound positions -> key tuple -> argument tuples
         self.indexes: dict[str, dict[tuple, dict]] = {
@@ -100,59 +103,114 @@ class _Store:
                              []).append(args)
         return True
 
-    def lookup(self, rel: str, positions: tuple, key: tuple) -> tuple:
-        """A copy of the tuples whose ``positions`` hold ``key``."""
-        tuples = self.facts[rel]
-        if not positions:
-            return tuple(tuples)
-        if len(positions) == self.arity[rel]:
-            return (key,) if key in tuples else ()
+    def index(self, rel: str, positions: tuple) -> dict:
+        """The hash index of ``rel`` on ``positions``: key tuple -> the
+        argument tuples holding it there.  Built on first use, kept up
+        to date by ``add``."""
         index = self.indexes[rel].get(positions)
         if index is None:
             index = {}
-            for args in tuples:
+            for args in self.facts[rel]:
                 index.setdefault(tuple(args[p] for p in positions),
                                  []).append(args)
             self.indexes[rel][positions] = index
-        return tuple(index.get(key, ()))
+        return index
 
     def all_facts(self) -> list:
         return [(rel, args) for rel, tuples in self.facts.items()
                 for args in tuples]
 
 
-def _join(atoms, store: _Store, assignment: dict) -> Iterator[dict]:
-    """Every extension of ``assignment`` mapping each atom onto a fact of
-    the store.  ``assignment`` itself is never modified."""
-    if not atoms:
-        yield assignment
-        return
-    atom, rest = atoms[0], atoms[1:]
-    positions = tuple(i for i, v in enumerate(atom.args) if v in assignment)
-    key = tuple(assignment[atom.args[i]] for i in positions)
-    for args in store.lookup(atom.rel, positions, key):
-        new = dict(assignment)
-        for var, val in zip(atom.args, args):
-            old = new.setdefault(var, val)
-            if old is not val and old != val:
-                break
+@lru_cache(maxsize=1024)
+def _plan(steps: tuple, bound: tuple = (), out: tuple = ()):
+    """A compiled join: a generator function ``plan(store, delta, *vals)``
+    yielding, for every extension of ``bound`` (given as ``vals``) that
+    maps each atom of ``steps`` onto a fact, the tuple of its ``out``
+    values.
+
+    ``steps`` holds ``(from_delta, atom)`` pairs, matched left to right
+    against ``delta`` or ``store``, one nested loop per atom.  Each atom's
+    bucket is looked up in the index on the positions bound before it, and
+    the loop runs over a copy of the bucket, never the live one; an atom
+    with every position bound is a membership test, one with none a loop
+    over a copy of the relation.  The generated source names variables by
+    number and relations by ``repr``, so no name from a program is code.
+    """
+    if len(set(bound)) != len(bound):
+        raise ValueError("repeated bound variable")
+    names = {v: f"v{i}" for i, v in enumerate(bound)}
+    fetches, lines, depth = [], [], 1
+    for k, (from_delta, atom) in enumerate(steps):
+        src, rel = "delta" if from_delta else "store", repr(atom.rel)
+        positions = tuple(i for i, v in enumerate(atom.args) if v in names)
+        key = _tuple_source(names[atom.args[i]] for i in positions)
+        if len(positions) == len(atom.args):
+            fetches.append(f"f{k} = {src}.facts[{rel}]")
+            lines.append((depth, f"if {key} in f{k}:"))
+            depth += 1
+            continue
+        if positions:
+            fetches.append(f"f{k} = {src}.index({rel}, {positions!r})")
+            bucket = f"f{k}.get({key}, ())"
         else:
-            yield from _join(rest, store, new)
+            fetches.append(f"f{k} = {src}.facts[{rel}]")
+            bucket = f"f{k}"
+        targets, checks = [], []
+        for i, v in enumerate(atom.args):
+            if i in positions:
+                targets.append("_")
+            elif v in names:  # repeated in this atom
+                r, first = f"r{k}_{i}", names[v]
+                targets.append(r)
+                checks.append(f"if {r} is not {first} and {r} != {first}: "
+                              "continue")
+            else:
+                names[v] = f"v{len(names)}"
+                targets.append(names[v])
+        lines.append((depth, f"for {', '.join(targets)}, in tuple({bucket}):"))
+        lines += [(depth + 1, c) for c in checks]
+        depth += 1
+    missing = [v for v in out if v not in names]
+    if missing:
+        raise ValueError(f"output variables {missing} are not bound")
+    lines.append((depth, "yield " + _tuple_source(names[v] for v in out)))
+    params = "".join(", " + names[v] for v in bound)
+    source = "\n".join(
+        [f"def plan(store, delta{params}):"]
+        + ["    " + f for f in fetches]
+        + ["    " * d + line for d, line in lines])
+    namespace: dict = {}
+    exec(compile(source, "<join plan>", "exec"), namespace)
+    return namespace["plan"]
 
 
-def _matches(body, store: _Store, delta: Optional[_Store]) -> Iterator[dict]:
-    """Body matches in the store.  With a delta (a store holding some of
-    the store's facts), only those mapping at least one body atom onto a
-    delta fact: each atom in turn is pinned to the delta, first in the join,
-    so a match may be found more than once."""
-    if delta is None or not body:
-        return _join(body, store, {})
-    return (
-        m
-        for i, atom in enumerate(body) if delta.facts[atom.rel]
-        for pinned in _join(body[i:i + 1], delta, {})
-        for m in _join(body[:i] + body[i + 1:], store, pinned)
-    )
+def _tuple_source(local_names) -> str:
+    """The source of a tuple of the named locals."""
+    return "(" + "".join(n + ", " for n in local_names) + ")"
+
+
+@lru_cache(maxsize=256)
+def _body_plans(body: tuple, out: tuple) -> tuple:
+    """The plan of a rule body yielding ``out``, and per body atom its
+    relation and the plan that pins it to the delta, first in the join."""
+    pins = tuple(
+        (atom.rel, _plan(((True, atom),) + tuple(
+            (False, a) for a in body[:i] + body[i + 1:]), (), out))
+        for i, atom in enumerate(body))
+    return _plan(tuple((False, a) for a in body), (), out), pins
+
+
+def _body_matches(plans: tuple, store: _Store,
+                  delta: Optional[_Store]) -> Iterator[tuple]:
+    """Body matches in the store, from ``_body_plans``.  With a delta (a
+    store holding some of the store's facts), only those mapping at least
+    one body atom onto a delta fact: each atom in turn is pinned to the
+    delta, so a match may be found more than once."""
+    whole, pins = plans
+    if delta is None or not pins:
+        return whole(store, None)
+    return chain.from_iterable(plan(store, delta) for rel, plan in pins
+                               if delta.facts[rel])
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +226,19 @@ def chase_datalog(P: Program, I: Instance) -> ChaseResult:
     _check_input(P, I)
     full_schema = P.full_schema()
     store = _Store(full_schema, I.facts)
-
-    def eval_rule(rule: Rule, delta: Optional[_Store]) -> set:
-        """Head tuples derivable; with a delta, at least one body atom must
-        match a delta fact."""
-        head = rule.head_atoms[0]
-        return {tuple(m[v] for v in head.args)
-                for m in _matches(rule.body_atoms, store, delta)}
+    # per rule, its head relation and the plans yielding its head tuples
+    rules = [(rule.head_atoms[0].rel,
+              _body_plans(rule.body_atoms, rule.head_atoms[0].args))
+             for rule in P.rules]
 
     steps = 0
     delta: Optional[_Store] = None
     while True:
         new_delta = _Store(full_schema)
         fired = False
-        for rule in P.rules:
-            head_rel = rule.head_atoms[0].rel
-            for args in eval_rule(rule, delta):
+        for head_rel, plans in rules:
+            # computed in full before any of it is inserted
+            for args in set(_body_matches(plans, store, delta)):
                 if store.add(head_rel, args):
                     new_delta.add(head_rel, args)
                     fired = True
@@ -228,16 +283,18 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
     domain = set(I.domain)
     null_counter = 0
 
-    def satisfied(rule: Rule, match: dict) -> bool:
-        """Does some extension of the match satisfy the head in the
-        current instance?"""
-        if rule.existentials and not domain:
-            return False
-        return next(_join(rule.head_atoms, store, match), None) is not None
+    # per rule, its sorted body variables, the plans yielding their values
+    # and the plan of its head with them bound
+    plans = []
+    for rule in P.rules:
+        body_vars = tuple(sorted(rule.body_vars()))
+        plans.append((body_vars, _body_plans(rule.body_atoms, body_vars),
+                      _plan(tuple((False, a) for a in rule.head_atoms),
+                            body_vars)))
 
-    def fire(rule: Rule, match: dict):
+    def fire(rule: Rule, body_vars: tuple, match: tuple):
         nonlocal null_counter
-        assignment = dict(match)
+        assignment = dict(zip(body_vars, match))
         for v in rule.existentials:
             null_counter += 1
             null = Element.null(null_counter)
@@ -248,7 +305,6 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
             if store.add(a.rel, args):
                 inserted.append((a.rel, args))
 
-    body_vars = [sorted(rule.body_vars()) for rule in P.rules]
     # per rule, how many facts were inserted when its last visit began
     seen = [0] * len(P.rules)
     steps = 0
@@ -263,12 +319,16 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
                 delta = _Store(full_schema, inserted[start:])
             else:
                 continue  # nothing inserted since the last visit
-            matches = {tuple(m[v].ser for v in body_vars[r]): m
-                       for m in _matches(rule.body_atoms, store, delta)}
+            body_vars, body, head = plans[r]
+            matches = {tuple([e.ser for e in m]): m
+                       for m in _body_matches(body, store, delta)}
             for key in sorted(matches):
                 m = matches[key]
-                if not satisfied(rule, m):
-                    fire(rule, m)
+                # the head check reads the live store; an existential in
+                # no head atom has no value while the domain is empty
+                if (rule.existentials and not domain) or \
+                        next(head(store, None, *m), None) is None:
+                    fire(rule, body_vars, m)
                     fired = True
         if not fired:
             terminated = True

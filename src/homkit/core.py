@@ -27,7 +27,6 @@ order above is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -208,12 +207,20 @@ class Instance:
                     )
             norm.add((rel, args))
         self.facts = frozenset(norm)
-        self.points = tuple(points)
-        for e in self.points:
-            if e not in self.domain:
-                raise HomkitError(f"point {e.ser} not in domain")
+        self.points = _checked_points(points, self.domain)
         self._hash = None
         self._index = None  # iter_homomorphisms' target index
+
+    @classmethod
+    def _trusted(cls, schema: Schema, domain: frozenset, facts: frozenset,
+                 points: tuple) -> "Instance":
+        """An instance from parts already valid together, unchecked: for
+        facts and points taken from a valid instance."""
+        inst = cls.__new__(cls)
+        inst.schema, inst.domain, inst.facts = schema, domain, facts
+        inst.points = points
+        inst._hash = inst._index = None
+        return inst
 
     def __getstate__(self):
         # the caches stay behind: string hashes differ between processes
@@ -242,15 +249,16 @@ class Instance:
         return {f for f in self.facts if f[0] == rel}
 
     def with_points(self, points) -> "Instance":
-        return Instance(self.schema, self.domain, self.facts, tuple(points))
+        return Instance._trusted(self.schema, self.domain, self.facts,
+                                 _checked_points(points, self.domain))
 
     def reduct(self, names: Iterable[str]) -> "Instance":
         """Restrict to the given relation names, keeping the domain."""
         sub = self.schema.restrict(names)
-        return Instance(
+        keep = set(sub.names)
+        return Instance._trusted(
             sub, self.domain,
-            [f for f in self.facts if f[0] in sub], self.points,
-        )
+            frozenset(f for f in self.facts if f[0] in keep), self.points)
 
     def with_schema(self, schema: Schema) -> "Instance":
         return Instance(schema, self.domain, self.facts, self.points)
@@ -299,10 +307,18 @@ class Instance:
         return f"Instance(|dom|={len(self.domain)} {facts}{pts})"
 
 
+def _checked_points(points, domain: frozenset) -> tuple:
+    points = tuple(points)
+    for e in points:
+        if e not in domain:
+            raise HomkitError(f"point {e.ser} not in domain")
+    return points
+
+
 def adom_instance(I: Instance) -> Instance:
     """Restrict the explicit domain to the active domain plus points."""
-    keep = set(I.active_domain) | set(I.points)
-    return Instance(I.schema, keep, I.facts, I.points)
+    keep = I.active_domain.union(I.points)
+    return Instance._trusted(I.schema, keep, I.facts, I.points)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +495,9 @@ def _target_index(B: Instance) -> tuple:
 
 
 class _Supports(dict):
-    """Support tables of a target, each built on first use.
+    """Support tables of a target, each built on first use from the coded
+    facts of its relation, which are coded on the first table of that
+    relation.
 
     The table under ``(rel, pattern)``, where ``pattern`` marks some
     positions of ``rel`` True, is for one element repeated at the marked
@@ -489,26 +507,32 @@ class _Supports(dict):
     elements and e at every marked position.
     """
 
-    __slots__ = ("facts", "code")
+    __slots__ = ("facts", "code", "coded")
 
     def __init__(self, facts, code):
         super().__init__()
         self.facts, self.code = facts, code
+        self.coded: dict[str, list] = {}  # relation -> its facts' codes
 
     def __missing__(self, key):
         rel, pattern = key
-        others = [not at for at in pattern]
-        code, table = self.code, {}
-        for r, args in self.facts:
-            if r != rel:
-                continue
-            codes = [code[a.ser] for a in args]
-            at = set(compress(codes, pattern))
-            if len(at) == 1:
-                sub = tuple(compress(codes, others))
-                if len(sub) == 1:
-                    sub = sub[0]
-                table[sub] = table.get(sub, 0) | 1 << at.pop()
+        rows = self.coded.get(rel)
+        if rows is None:
+            code = self.code
+            rows = self.coded[rel] = [[code[a.ser] for a in args]
+                                      for r, args in self.facts if r == rel]
+        first, *more = [i for i, at in enumerate(pattern) if at]
+        others = [i for i, at in enumerate(pattern) if not at]
+        sub_of = itemgetter(*others) if others else None
+        table = {}
+        for codes in rows:
+            c = codes[first]
+            for i in more:
+                if codes[i] != c:
+                    break
+            else:
+                sub = sub_of(codes) if sub_of else ()
+                table[sub] = table.get(sub, 0) | 1 << c
         self[key] = table
         return table
 

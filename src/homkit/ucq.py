@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .chase import _join, _Store
+from .chase import _plan, _Store
 from .core import HomkitError, Instance, Schema, structure_report
 from .duality import abox_dual, dual_wrt_theory
 from .oracle import Verdict, _abox_chase, _some_map, verify_duality
@@ -122,8 +122,9 @@ def evaluate(q: UCQ, A: Instance) -> set:
     store = _Store(A.schema, A.facts)
     answers: set = set()
     for cq in q.disjuncts:
-        for asg in _join(cq.atoms, store, {}):
-            answers.add(tuple(asg[v] for v in cq.answer_vars))
+        plan = _plan(tuple((False, a) for a in cq.atoms), (),
+                     tuple(cq.answer_vars))
+        answers.update(plan(store, None))
     return answers
 
 

@@ -5,6 +5,11 @@ functions exactly: same facts, domain, null numbering, ``steps`` and
 ``terminated``.  Matching visits the sorted fact store atom by atom, and the
 restricted chase's ``satisfied`` check tries every element of the domain for
 each existential variable.
+
+``_join`` and ``_matches`` are the recursive join of the indexed chase
+before compiled plans, kept verbatim with the bucket lookup they read
+(``_LookupStore.lookup``); ``test_chase_plan.py`` checks ``chase._plan``
+against them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from homkit.chase import ChaseError, ChaseResult, DEFAULT_BUDGET, \
-    NotWeaklyAcyclic
+    NotWeaklyAcyclic, _Store
 from homkit.core import Element, Instance, SchemaMismatch
 from homkit.program import Program, Rule, classify
 
@@ -226,3 +231,66 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
     output = full.reduct(P.s_out.names)
     return ChaseResult(full=full, output=output, terminated=terminated,
                        steps=steps)
+
+
+# ---------------------------------------------------------------------------
+# The recursive join that ``chase._plan`` replaced
+# ---------------------------------------------------------------------------
+
+
+class _LookupStore(_Store):
+    """A ``_Store`` with the bucket lookup the recursive join reads."""
+
+    def __init__(self, schema, facts=()):
+        super().__init__(schema, facts)
+        self.arity = schema.as_dict()
+
+    def lookup(self, rel: str, positions: tuple, key: tuple) -> tuple:
+        """A copy of the tuples whose ``positions`` hold ``key``."""
+        tuples = self.facts[rel]
+        if not positions:
+            return tuple(tuples)
+        if len(positions) == self.arity[rel]:
+            return (key,) if key in tuples else ()
+        index = self.indexes[rel].get(positions)
+        if index is None:
+            index = {}
+            for args in tuples:
+                index.setdefault(tuple(args[p] for p in positions),
+                                 []).append(args)
+            self.indexes[rel][positions] = index
+        return tuple(index.get(key, ()))
+
+
+def _join(atoms, store: _Store, assignment: dict) -> Iterator[dict]:
+    """Every extension of ``assignment`` mapping each atom onto a fact of
+    the store.  ``assignment`` itself is never modified."""
+    if not atoms:
+        yield assignment
+        return
+    atom, rest = atoms[0], atoms[1:]
+    positions = tuple(i for i, v in enumerate(atom.args) if v in assignment)
+    key = tuple(assignment[atom.args[i]] for i in positions)
+    for args in store.lookup(atom.rel, positions, key):
+        new = dict(assignment)
+        for var, val in zip(atom.args, args):
+            old = new.setdefault(var, val)
+            if old is not val and old != val:
+                break
+        else:
+            yield from _join(rest, store, new)
+
+
+def _matches(body, store: _Store, delta: Optional[_Store]) -> Iterator[dict]:
+    """Body matches in the store.  With a delta (a store holding some of
+    the store's facts), only those mapping at least one body atom onto a
+    delta fact: each atom in turn is pinned to the delta, first in the join,
+    so a match may be found more than once."""
+    if delta is None or not body:
+        return _join(body, store, {})
+    return (
+        m
+        for i, atom in enumerate(body) if delta.facts[atom.rel]
+        for pinned in _join(body[i:i + 1], delta, {})
+        for m in _join(body[:i] + body[i + 1:], store, pinned)
+    )

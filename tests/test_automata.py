@@ -98,6 +98,17 @@ def test_enumerate_terms_matches_list_filter_reference():
     assert len(list(enumerate_terms(S, LABELS, 2))) == 202
 
 
+def test_enumerate_terms_builds_checked_equal_nodes_at_depth_3():
+    # internal terms skip __post_init__; each equals the checked build
+    count = 0
+    for t in enumerate_terms(S, LABELS, 3):
+        count += 1
+        if t.op == "node":
+            rebuilt = node(t.rel, t.index, t.children)
+            assert t == rebuilt and hash(t) == hash(rebuilt)
+    assert count == 81_610
+
+
 def test_tree_term_round_trip():
     for t in enumerate_terms(S, LABELS, 2):
         T = term_to_tree(t, FULL)

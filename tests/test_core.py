@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from homkit.core import (
     Instance,
     Schema,
     SchemaMismatch,
+    adom_instance,
     core_of,
     find_homomorphism,
     isomorphic,
@@ -43,6 +45,35 @@ def test_instance_rejects_bad_facts():
         Instance(Schema([("E", 2)]), [a], [("F", (a, a))])
     with pytest.raises(HomkitError):
         Instance(Schema([("E", 2)]), [a], [("E", (a, Element.named("b")))])
+
+
+def test_unchecked_derived_instances_match_the_validated_build():
+    """with_points, reduct and adom_instance build without rechecking the
+    facts: each must equal the validated build, and a point outside the
+    domain is still rejected."""
+    rng = random.Random(17)
+    schema = Schema([("E", 2), ("U", 1), ("Z", 0)])
+    for _ in range(200):
+        elems = [Element.named(f"a{i}") for i in range(rng.randint(1, 4))]
+        facts = [(rel, tuple(rng.choice(elems) for _ in range(arity)))
+                 for rel, arity in schema.relations
+                 for _ in range(rng.randint(0, 4))]
+        points = tuple(rng.choice(elems) for _ in range(rng.randint(0, 2)))
+        inst = Instance(schema, elems, facts)
+        pointed = inst.with_points(points)
+        assert pointed == Instance(schema, elems, facts, points)
+        assert pointed.points == points and pointed.facts is inst.facts
+        names = rng.sample(["E", "U", "Z", "W"], rng.randint(0, 4))
+        sub = schema.restrict(names)
+        assert pointed.reduct(names) == Instance(
+            sub, elems, [f for f in facts if f[0] in sub], points)
+        keep = {e for _, args in facts for e in args} | set(points)
+        assert adom_instance(pointed) == Instance(schema, keep, facts,
+                                                  points)
+    a = Element.named("a")
+    inst = Instance(schema, [a], [("E", (a, a))])
+    with pytest.raises(HomkitError, match="point b not in domain"):
+        inst.with_points((a, Element.named("b")))
 
 
 def test_hom_path_to_loop():
