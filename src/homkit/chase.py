@@ -121,6 +121,9 @@ class _Store:
                 for args in tuples]
 
 
+_NESTED = 16  # atoms per generated function
+
+
 @lru_cache(maxsize=1024)
 def _plan(steps: tuple, bound: tuple = (), out: tuple = ()):
     """A compiled join: a generator function ``plan(store, delta, *vals)``
@@ -135,11 +138,15 @@ def _plan(steps: tuple, bound: tuple = (), out: tuple = ()):
     with every position bound is a membership test, one with none a loop
     over a copy of the relation.  The generated source names variables by
     number and relations by ``repr``, so no name from a program is code.
+    CPython compiles at most 20 nested blocks, so a function holds at most
+    ``_NESTED`` atoms and hands the rest, with the variables bound so far,
+    to a chained plan.
     """
     if len(set(bound)) != len(bound):
         raise ValueError("repeated bound variable")
     names = {v: f"v{i}" for i, v in enumerate(bound)}
     fetches, lines, depth = [], [], 1
+    steps, rest = steps[:_NESTED], steps[_NESTED:]
     for k, (from_delta, atom) in enumerate(steps):
         src, rel = "delta" if from_delta else "store", repr(atom.rel)
         positions = tuple(i for i, v in enumerate(atom.args) if v in names)
@@ -170,16 +177,21 @@ def _plan(steps: tuple, bound: tuple = (), out: tuple = ()):
         lines.append((depth, f"for {', '.join(targets)}, in tuple({bucket}):"))
         lines += [(depth + 1, c) for c in checks]
         depth += 1
-    missing = [v for v in out if v not in names]
-    if missing:
-        raise ValueError(f"output variables {missing} are not bound")
-    lines.append((depth, "yield " + _tuple_source(names[v] for v in out)))
+    namespace: dict = {}
+    if rest:
+        namespace["rest"] = _plan(rest, tuple(names), out)
+        lines.append((depth, "yield from rest(store, delta"
+                      + "".join(", " + n for n in names.values()) + ")"))
+    else:
+        missing = [v for v in out if v not in names]
+        if missing:
+            raise ValueError(f"output variables {missing} are not bound")
+        lines.append((depth, "yield " + _tuple_source(names[v] for v in out)))
     params = "".join(", " + names[v] for v in bound)
     source = "\n".join(
         [f"def plan(store, delta{params}):"]
         + ["    " + f for f in fetches]
         + ["    " * d + line for d, line in lines])
-    namespace: dict = {}
     exec(compile(source, "<join plan>", "exec"), namespace)
     return namespace["plan"]
 
@@ -189,6 +201,7 @@ def _tuple_source(local_names) -> str:
     return "(" + "".join(n + ", " for n in local_names) + ")"
 
 
+# called once per chase and rule; the cache saves a third of a small chase
 @lru_cache(maxsize=256)
 def _body_plans(body: tuple, out: tuple) -> tuple:
     """The plan of a rule body yielding ``out``, and per body atom its

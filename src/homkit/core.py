@@ -27,6 +27,7 @@ order above is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -495,9 +496,7 @@ def _target_index(B: Instance) -> tuple:
 
 
 class _Supports(dict):
-    """Support tables of a target, each built on first use from the coded
-    facts of its relation, which are coded on the first table of that
-    relation.
+    """Support tables of a target, each built on first use.
 
     The table under ``(rel, pattern)``, where ``pattern`` marks some
     positions of ``rel`` True, is for one element repeated at the marked
@@ -507,32 +506,26 @@ class _Supports(dict):
     elements and e at every marked position.
     """
 
-    __slots__ = ("facts", "code", "coded")
+    __slots__ = ("facts", "code")
 
     def __init__(self, facts, code):
         super().__init__()
         self.facts, self.code = facts, code
-        self.coded: dict[str, list] = {}  # relation -> its facts' codes
 
     def __missing__(self, key):
         rel, pattern = key
-        rows = self.coded.get(rel)
-        if rows is None:
-            code = self.code
-            rows = self.coded[rel] = [[code[a.ser] for a in args]
-                                      for r, args in self.facts if r == rel]
-        first, *more = [i for i, at in enumerate(pattern) if at]
-        others = [i for i, at in enumerate(pattern) if not at]
-        sub_of = itemgetter(*others) if others else None
-        table = {}
-        for codes in rows:
-            c = codes[first]
-            for i in more:
-                if codes[i] != c:
-                    break
-            else:
-                sub = sub_of(codes) if sub_of else ()
-                table[sub] = table.get(sub, 0) | 1 << c
+        others = [not at for at in pattern]
+        code, table = self.code, {}
+        for r, args in self.facts:
+            if r != rel:
+                continue
+            codes = [code[a.ser] for a in args]
+            at = set(compress(codes, pattern))
+            if len(at) == 1:
+                sub = tuple(compress(codes, others))
+                if len(sub) == 1:
+                    sub = sub[0]
+                table[sub] = table.get(sub, 0) | 1 << at.pop()
         self[key] = table
         return table
 

@@ -130,3 +130,50 @@ def test_names_that_are_not_identifiers_chase_like_the_reference():
     assert (got.full, got.steps, sorted(d.ser for d in got.full.domain)) \
         == (want.full, want.steps, sorted(d.ser for d in want.full.domain))
     assert len(got.full.domain) > len(I.domain)
+
+
+def test_long_bodies_chain_plans():
+    """CPython refuses more than 20 nested blocks in one function, so a
+    plan past that many atoms chains; a 25-atom path body, a 25-atom join
+    with bound variables and repeats, and 25 fully bound atoms all join and
+    chase like the reference."""
+    n = 25
+    path = tuple(Atom("E", (f"x{i}", f"x{i + 1}")) for i in range(n))
+    ends = ("x0", f"x{n}")
+    e = [Element.named(f"a{i}") for i in range(4)]
+    cycle = [("E", (e[i], e[(i + 1) % 4])) for i in range(4)] \
+        + [("E", (e[0], e[2]))]
+    store = ref._LookupStore(SCHEMA, cycle)
+    want = [tuple(m[v] for v in ends) for m in ref._join(path, store, {})]
+    got = list(_plan(tuple((False, a) for a in path), (), ends)(store, None))
+    assert got == want and len(want) > n
+
+    rng = random.Random(1703)
+    for _ in range(200):
+        elems, facts = _facts(rng)
+        store = ref._LookupStore(SCHEMA, facts)
+        atoms = tuple(Atom(rel, tuple(rng.choice(VARS) for _ in range(ar)))
+                      for rel, ar in (rng.choice(SCHEMA.relations)
+                                      for _ in range(n)))
+        steps = tuple((False, a) for a in atoms)
+        bound = tuple(rng.sample(VARS, rng.randint(0, 4)))
+        vals = [rng.choice(elems) for _ in bound]
+        out = tuple(sorted({v for a in atoms for v in a.args} | set(bound)))
+        want = [tuple(m[v] for v in out)
+                for m in _ref_steps(steps, store, store,
+                                    dict(zip(bound, vals)))]
+        assert list(_plan(steps, bound, out)(store, None, *vals)) == want
+
+    ring = tuple(Atom("E", (f"x{i}", f"x{(i + 1) % 4}")) for i in range(4))
+    bound = ("x0", "x1", "x2", "x3")
+    held = _plan(tuple((False, a) for a in ring * 7), bound)
+    assert list(held(_Store(SCHEMA, cycle), None, *e)) == [()]
+    assert list(held(_Store(SCHEMA, cycle), None, *e[::-1])) == []
+
+    s_in, s_out = Schema([("E", 2)]), Schema([("Ans", 2)])
+    P = Program(s_in, s_out, Schema([]),
+                [Rule((Atom("Ans", ends),), path)])
+    I = Instance(s_in, e, cycle)
+    got, want = chase_datalog(P, I), ref.chase_datalog(P, I)
+    assert (got.full, got.steps) == (want.full, want.steps)
+    assert got.output.facts
