@@ -181,7 +181,7 @@ def tam_adjoint(P: Program, J: Instance,
         cands = sorted(
             ((rel, args) for rel, arity in simple.s_aux.relations
              for args in itertools.product(D, repeat=arity)
-             if args[art[rel] - 1] == b),
+             if args[art[rel] - 1] is b),
             key=lambda f: (f[0], [e.ser for e in f[1]]))
         n = len(cands)
         if n > 60 or 2 ** n > cap:
@@ -221,7 +221,7 @@ def tam_adjoint(P: Program, J: Instance,
     def fact_ok(rel: str, elems: tuple[Element, ...]) -> bool:
         for input_atom, aux_atoms, head, p, p0 in rules_by_input.get(rel, ()):
             pin = {}
-            if any(pin.setdefault(var, e.base) != e.base
+            if any(pin.setdefault(var, e.base) is not e.base
                    for var, e in zip(input_atom.args, elems)):
                 continue
             choices = [[args for r, args in elems[pi].facts if r == atom.rel]
@@ -249,7 +249,7 @@ def tam_adjoint(P: Program, J: Instance,
     big = Instance(simple.s_in, domain, facts)
     iota = {
         e: e.base for e in domain
-        if e.base != BOTTOM and e.base in J.domain
+        if e.base is not BOTTOM and e.base in J.domain
     }
 
     if connector is None:

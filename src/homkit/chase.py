@@ -89,8 +89,8 @@ class _Store:
         # relation -> bound positions -> key tuple -> argument tuples
         self.indexes: dict[str, dict[tuple, dict]] = {
             rel: {} for rel in schema.names}
-        for rel, args in facts:
-            self.add(rel, args)
+        for rel, args in facts:  # no index exists yet
+            self.facts[rel].add(args)
 
     def add(self, rel: str, args: tuple) -> bool:
         """Insert a fact; False when it was already present."""
@@ -169,8 +169,7 @@ def _plan(steps: tuple, bound: tuple = (), out: tuple = ()):
             elif v in names:  # repeated in this atom
                 r, first = f"r{k}_{i}", names[v]
                 targets.append(r)
-                checks.append(f"if {r} is not {first} and {r} != {first}: "
-                              "continue")
+                checks.append(f"if {r} is not {first}: continue")
             else:
                 names[v] = f"v{len(names)}"
                 targets.append(names[v])
@@ -260,7 +259,8 @@ def chase_datalog(P: Program, I: Instance) -> ChaseResult:
         steps += 1
         delta = new_delta
 
-    full = Instance(full_schema, I.domain, store.all_facts())
+    full = Instance._trusted(full_schema, I.domain,
+                             frozenset(store.all_facts()), ())
     output = full.reduct(P.s_out.names)
     return ChaseResult(full=full, output=output, terminated=True, steps=steps)
 
@@ -348,7 +348,8 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
             break
         steps += 1
 
-    full = Instance(full_schema, domain, store.all_facts())
+    full = Instance._trusted(full_schema, frozenset(domain),
+                             frozenset(store.all_facts()), ())
     output = full.reduct(P.s_out.names)
     return ChaseResult(full=full, output=output, terminated=terminated,
                        steps=steps)

@@ -26,6 +26,7 @@ order above is unchanged.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -65,11 +66,11 @@ class Schema:
             if items.setdefault(name, arity) != arity:
                 raise SchemaMismatch(
                     f"relation {name} has conflicting arities")
-        object.__setattr__(
-            self, "relations", tuple(sorted(items.items()))
-        )
-        # not a dataclass field, so ==, hash and repr see only relations
+        relations = tuple(sorted(items.items()))
+        object.__setattr__(self, "relations", relations)
+        # not dataclass fields, so ==, hash and repr see only relations
         object.__setattr__(self, "_arity", items)
+        object.__setattr__(self, "names", tuple(r for r, _ in relations))
 
     def arity(self, name: str) -> int:
         try:
@@ -79,10 +80,6 @@ class Schema:
 
     def __contains__(self, name: str) -> bool:
         return name in self._arity
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(rel for rel, _ in self.relations)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.relations)
@@ -111,29 +108,40 @@ class Element:
     - ``pair``: an element ``(b | {facts...})`` pairing a base element with a
       finite set of facts; these arise in adjoint outputs.
 
-    Equality, hashing and ordering all go through the canonical injective
-    serialization string.
+    Each element has a canonical injective serialization ``ser``, and
+    elements are interned on it (hash-consing): constructing an element
+    returns the live one with the same serialization if there is one.  So
+    equal elements are the same object, equality and hashing are identity,
+    and order is by ``ser``.  The intern table holds its elements weakly, so
+    one that nothing references is dropped; it is not locked, since homkit
+    runs in one thread.
     """
 
-    __slots__ = ("kind", "name", "serial", "base", "facts", "ser")
+    __slots__ = ("kind", "name", "serial", "base", "facts", "ser",
+                 "__weakref__")
 
-    def __init__(self, kind, name="", serial=0, base=None, facts=frozenset()):
-        self.kind = kind
-        self.name = name
-        self.serial = serial
-        self.base = base
-        self.facts = facts
+    def __new__(cls, kind, name="", serial=0, base=None, facts=frozenset()):
         if kind == "named":
-            self.ser = name
+            # ``_`` and ``(`` start the reserved spellings of the other kinds
+            if name[:1] in ("_", "("):
+                raise HomkitError(f"element name {name!r} is reserved")
+            ser = name
         elif kind == "null":
-            self.ser = f"_n{serial}"
+            ser = f"_n{serial}"
         elif kind == "bottom":
-            self.ser = "_bot"
+            ser = "_bot"
         elif kind == "pair":
             inner = ",".join(sorted(fact_ser(f) for f in facts))
-            self.ser = f"({base.ser}|{{{inner}}})"
+            ser = f"({base.ser}|{{{inner}}})"
         else:  # pragma: no cover
             raise HomkitError(f"unknown element kind {kind}")
+        self = _INTERNED.get(ser)
+        if self is None:
+            self = object.__new__(cls)
+            self.kind, self.name, self.serial = kind, name, serial
+            self.base, self.facts, self.ser = base, facts, ser
+            _INTERNED[ser] = self
+        return self
 
     @staticmethod
     def named(name: str) -> "Element":
@@ -147,11 +155,10 @@ class Element:
     def pair(base: "Element", facts) -> "Element":
         return Element("pair", base=base, facts=frozenset(facts))
 
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.ser == other.ser
-
-    def __hash__(self):
-        return hash(self.ser)
+    def __reduce__(self):
+        # pickle and copy rebuild through the intern table
+        return Element, (self.kind, self.name, self.serial, self.base,
+                         self.facts)
 
     def __lt__(self, other):
         return self.ser < other.ser
@@ -162,6 +169,10 @@ class Element:
     def __repr__(self):
         return f"Element({self.ser!r})"
 
+
+# serialization -> the live element with it
+_INTERNED: "weakref.WeakValueDictionary[str, Element]" = \
+    weakref.WeakValueDictionary()
 
 BOTTOM = Element("bottom")
 
@@ -224,7 +235,7 @@ class Instance:
         return inst
 
     def __getstate__(self):
-        # the caches stay behind: string hashes differ between processes
+        # the caches stay behind: hashes differ between processes
         return self.schema, self.domain, self.facts, self.points
 
     def __setstate__(self, state):
@@ -344,7 +355,7 @@ class Homomorphism:
 
     def __call__(self, e: Element) -> Element:
         for src, dst in self.mapping:
-            if src == e:
+            if src is e:
                 return dst
         raise KeyError(e.ser)
 
@@ -403,16 +414,13 @@ def iter_homomorphisms(
     if A.points and B.points:
         pairs += zip(A.points, B.points)
     for src, dst in pairs:
-        if pre.setdefault(src, dst) != dst:
+        if pre.setdefault(src, dst) is not dst:
             return
-    # each membership test hashes an Element, so skip them when pre is empty
-    order = (sorted(pre) + [e for e in A.sorted_domain() if e not in pre]
-             if pre else A.sorted_domain())
-    # keyed by serialization: a string caches its hash, an Element does not
-    level = {e.ser: i for i, e in enumerate(order)}
+    order = sorted(pre) + [e for e in A.sorted_domain() if e not in pre]
+    level = {e: i for i, e in enumerate(order)}
     b_elems, b_code, supports = _target_index(B)
     every = (1 << len(b_elems)) - 1
-    dom = [1 << b_code[pre[e].ser] for e in order[:len(pre)]]
+    dom = [1 << b_code[pre[e]] for e in order[:len(pre)]]
     dom += [every] * (len(order) - len(pre))
     if iso:
         occ_a, occ_b = _occurrences(A), _occurrences(B)
@@ -430,7 +438,7 @@ def iter_homomorphisms(
             if fact not in B.facts:
                 return
             continue
-        idx = [level[a.ser] for a in args]
+        idx = [level[a] for a in args]
         j = max(idx)
         # the positions of level j are the ones marked True
         table = supports[rel, tuple(map(j.__eq__, idx))]
@@ -485,12 +493,11 @@ def iter_homomorphisms(
 
 
 def _target_index(B: Instance) -> tuple:
-    """B's sorted domain, the code (index) of each element in it by its
-    serialization, and B's support tables; kept on B, which never
-    changes."""
+    """B's sorted domain, the code (index) of each element in it, and B's
+    support tables; kept on B, which never changes."""
     if B._index is None:
         elems = B.sorted_domain()
-        code = {e.ser: c for c, e in enumerate(elems)}
+        code = {e: c for c, e in enumerate(elems)}
         B._index = (elems, code, _Supports(B.facts, code))
     return B._index
 
@@ -519,7 +526,7 @@ class _Supports(dict):
         for r, args in self.facts:
             if r != rel:
                 continue
-            codes = [code[a.ser] for a in args]
+            codes = [code[a] for a in args]
             at = set(compress(codes, pattern))
             if len(at) == 1:
                 sub = tuple(compress(codes, others))

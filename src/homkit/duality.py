@@ -156,14 +156,14 @@ def fold_reduce(I: Instance) -> Instance:
         for u in list(domain):
             if u in points:
                 continue
-            if not any(v != u and all(
-                    (rel, tuple(v if a == u else a for a in args)) in facts
+            if not any(v is not u and all(
+                    (rel, tuple(v if a is u else a for a in args)) in facts
                     for rel, args in incident[u]) for v in domain):
                 continue
             for f in incident.pop(u):
                 facts.discard(f)
                 for a in f[1]:
-                    if a != u:
+                    if a is not u:
                         incident[a].discard(f)
             domain.remove(u)
             changed = True
@@ -276,7 +276,7 @@ def _theory_duals(sigma, F_spec, adjoint_program, cap,
             renamed = j_prime.rename_relations(unrename)
             renamed = Instance(base, renamed.domain, renamed.facts)
             pools = [
-                [e for e in sorted(renamed.domain) if iota.get(e) == b]
+                [e for e in sorted(renamed.domain) if iota.get(e) is b]
                 for b in b_points
             ]
             for combo in itertools.product(*pools):

@@ -140,12 +140,14 @@ def enumerate_instances(schema: Schema, max_domain: int,
                               "with terminating chases")
     for m in range(max_domain + 1):
         elems = [Element.named(f"e{i}") for i in range(1, m + 1)]
+        domain = frozenset(elems)
         candidates = _all_facts(schema, elems)
         for size in range(len(candidates) + 1):
             for combo in itertools.combinations(range(len(candidates)),
                                                 size):
-                facts = [candidates[i] for i in combo]
-                C = Instance(schema, elems, facts)
+                # valid by construction: every candidate is over elems
+                facts = frozenset([candidates[i] for i in combo])
+                C = Instance._trusted(schema, domain, facts, ())
                 if P_sigma is not None and not _is_model(
                         C.with_schema(base) if base != schema else C,
                         P_sigma):

@@ -83,7 +83,7 @@ class Program:
     """
 
     __slots__ = ("s_in", "s_out", "s_aux", "rules", "articulation",
-                 "_terminates")
+                 "_terminates", "_full")
 
     def __init__(self, s_in: Schema, s_out: Schema, s_aux: Schema,
                  rules: Iterable[Rule], articulation: Optional[dict] = None):
@@ -102,7 +102,7 @@ class Program:
         if names_in & names_out or names_in & names_aux or \
                 names_out & names_aux:
             raise ProgramError("in/out/aux schemas must be disjoint")
-        full = self.s_in.union(self.s_out).union(self.s_aux)
+        full = self._full = self.s_in.union(self.s_out).union(self.s_aux)
         for rule in self.rules:
             if not rule.head_atoms:
                 raise ProgramError("rule with empty head")
@@ -149,7 +149,8 @@ class Program:
         return self._terminates
 
     def full_schema(self) -> Schema:
-        return self.s_in.union(self.s_out).union(self.s_aux)
+        """s_in, s_out and s_aux together, built once by ``_validate``."""
+        return self._full
 
     def sorted_rules(self) -> list[Rule]:
         return sorted(self.rules, key=lambda r: r.canonical_str())

@@ -1,7 +1,10 @@
 """Instances, homomorphisms, isomorphism, cores, structure reports."""
 
+import copy
+import gc
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +13,9 @@ import pytest
 
 from conftest import digraph
 import homkit
+from homkit import core
 from homkit.core import (
+    BOTTOM,
     Element,
     HomkitError,
     Instance,
@@ -37,6 +42,66 @@ def test_schema_basics():
     same = Schema({"V": 1, "E": 2})
     assert same == s and hash(same) == hash(s)
     assert repr(s) == "Schema(relations=(('E', 2), ('V', 1)))"
+    # the names are stored once, not rebuilt on each read
+    assert same.names == ("E", "V") and same.names is same.names
+    assert s.restrict(["V"]).names == ("V",)
+
+
+def test_elements_are_interned():
+    """One object per serialization: named, null and pair elements built
+    twice are the same object, a pair's facts in any order."""
+    a, b = Element.named("a"), Element.named("b")
+    assert Element.named("a") is a and Element("named", name="a") is a
+    assert Element.null(7) is Element.null(7)
+    assert Element.null(7) is not Element.null(8)
+    facts = [("E", (a, b)), ("U", (a,)), ("E", (b, Element.null(3)))]
+    p = Element.pair(a, facts)
+    assert Element.pair(a, reversed(facts)) is p
+    assert Element.pair(a, set(facts)) is p
+    assert Element.pair(Element.named("a"), frozenset(facts[::-1])) is p
+    assert Element.pair(p, [("U", (p,))]) is Element.pair(p, [("U", (p,))])
+    assert Element.pair(b, facts) is not p
+    # equality and hashing are identity, order is by serialization
+    assert p == Element.pair(a, facts) and p != Element.pair(b, facts)
+    assert hash(p) == object.__hash__(p)
+    assert {a, Element.named("a"), b} == {a, b}
+    assert sorted([b, Element.null(3), a, BOTTOM]) == \
+        [BOTTOM, Element.null(3), a, b]
+    assert "__eq__" not in Element.__dict__
+    assert "__hash__" not in Element.__dict__
+
+
+def test_reserved_spellings_are_no_names():
+    """``_`` and ``(`` begin the spellings of bottom, nulls and pairs, so
+    no named element may take them."""
+    for name in ("_bot", "_n1", "_", "_x", "(a|{})"):
+        with pytest.raises(HomkitError):
+            Element.named(name)
+    assert BOTTOM.kind == "bottom" and Element.null(1).kind == "null"
+
+
+def test_pickle_and_copy_return_the_interned_element():
+    a = Element.named("a")
+    p = Element.pair(a, [("E", (a, Element.null(4)))])
+    for e in (a, Element.null(4), BOTTOM, p):
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+    I = Instance(Schema([("E", 2)]), [a, p], [("E", (a, p))], (p,))
+    for J in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I)):
+        assert J == I and J.points[0] is p
+        assert next(iter(J.facts)) == ("E", (a, p))
+        assert all(e is f for e, f in zip(J.sorted_domain(),
+                                           I.sorted_domain()))
+
+
+def test_unreferenced_elements_leave_the_intern_table():
+    null = Element.null(987_654_321)
+    pair = Element.pair(Element.named("leak_a"), [("U", (null,))])
+    sers = [null.ser, pair.ser, "leak_a"]
+    assert all(s in core._INTERNED for s in sers)
+    del null, pair
+    gc.collect()
+    assert not any(s in core._INTERNED for s in sers)
 
 
 def test_instance_rejects_bad_facts():
