@@ -171,7 +171,13 @@ def tree_to_term(T: Instance, labels) -> TreeTerm:
 
 def enumerate_terms(schema: Schema, labels, depth: int) -> Iterator[TreeTerm]:
     """All terms of the given maximum nesting depth, in a deterministic
-    order."""
+    order: leaves, then level by level, each level by relation, kid tuple
+    (kids in the order of their first yield, the last kid varying
+    fastest) and root index.
+
+    Earlier levels are kept, as the kids of later ones.  The deepest
+    level is no term's kid: it is yielded as it is built and kept
+    nowhere."""
     labels = sorted(labels)
     leaves = []
     for r in range(len(labels) + 1):
@@ -179,26 +185,36 @@ def enumerate_terms(schema: Schema, labels, depth: int) -> Iterator[TreeTerm]:
             leaves.append(leaf(combo))
     yield from leaves
     all_terms = list(leaves)
-    # a kid tuple drawn wholly from before the previous level builds a term
-    # of an earlier level, so only tuples reaching into that level are new
-    start = 0
-    for _ in range(depth):
-        fresh = []
-        for rel, arity in schema.relations:
-            if arity == 0:
-                continue
-            for idx in itertools.product(range(len(all_terms)),
-                                         repeat=arity):
-                if max(idx) < start:
-                    continue
-                kids = tuple(all_terms[k] for k in idx)
-                for i in range(1, arity + 1):
-                    fresh.append(_node(rel, i, kids))
-        yield from fresh
-        start = len(all_terms)
-        all_terms += fresh
-        if not fresh:
-            break
+    start = 0  # where the previous level begins in all_terms
+    for level in range(depth):
+        terms = _next_level(schema, all_terms, start)
+        if level == depth - 1:
+            yield from terms
+        else:
+            fresh = list(terms)
+            yield from fresh
+            start = len(all_terms)
+            all_terms += fresh
+
+
+def _next_level(schema: Schema, all_terms: list,
+                start: int) -> Iterator[TreeTerm]:
+    """The terms one level above ``all_terms[start:]``.  A kid tuple drawn
+    wholly from before ``start`` builds a term of an earlier level, so a
+    tuple whose first kids all lie there takes its last kid from
+    ``all_terms[start:]`` only."""
+    previous = all_terms[start:]
+    for rel, arity in schema.relations:
+        if arity == 0:
+            continue
+        roots = range(1, arity + 1)
+        for idx in itertools.product(range(len(all_terms)), repeat=arity - 1):
+            head = tuple([all_terms[k] for k in idx])
+            tails = all_terms if idx and max(idx) >= start else previous
+            for t in tails:
+                kids = head + (t,)
+                for i in roots:
+                    yield _node(rel, i, kids)
 
 
 def accepted_cover(A: "TreeAutomaton", depth: int) -> list:

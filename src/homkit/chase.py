@@ -36,8 +36,11 @@ a chase terminates when a full round adds nothing.  Three points fix
   Datalog.  Skipping the old ones is exact: the store only grows, so a
   match that was satisfied or fired at an earlier visit is still
   satisfied, and the fired sequence, ``steps`` and the null numbering are
-  those of collecting every match.  The head check reads the live store,
-  including facts fired earlier in the same visit.
+  those of collecting every match.  A visit where no body relation has a
+  new fact finds no new match and is skipped; so is every visit of a
+  body-less rule after its first.  Otherwise the delta holds only the new
+  facts of body relations, the only ones pinned.  The head check reads
+  the live store, including facts fired earlier in the same visit.
 - An existential variable that occurs in no head atom can take any domain
   element, so a rule with existentials is never satisfied while the domain
   is empty.
@@ -296,12 +299,13 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
     domain = set(I.domain)
     null_counter = 0
 
-    # per rule, its sorted body variables, the plans yielding their values
-    # and the plan of its head with them bound
+    # per rule, its body relations, its sorted body variables, the plans
+    # yielding their values and the plan of its head with them bound
     plans = []
     for rule in P.rules:
         body_vars = tuple(sorted(rule.body_vars()))
-        plans.append((body_vars, _body_plans(rule.body_atoms, body_vars),
+        plans.append((frozenset(a.rel for a in rule.body_atoms), body_vars,
+                      _body_plans(rule.body_atoms, body_vars),
                       _plan(tuple((False, a) for a in rule.head_atoms),
                             body_vars)))
 
@@ -325,14 +329,15 @@ def chase_existential(P: Program, I: Instance, mode: str = "wa",
     while max_rounds is None or steps < max_rounds:
         fired = False
         for r, rule in enumerate(P.rules):
+            body_rels, body_vars, body, head = plans[r]
             start, seen[r] = seen[r], len(inserted)
             if not start:
                 delta = None  # every match
-            elif start < len(inserted):
-                delta = _Store(full_schema, inserted[start:])
             else:
-                continue  # nothing inserted since the last visit
-            body_vars, body, head = plans[r]
+                new = [f for f in inserted[start:] if f[0] in body_rels]
+                if not new:
+                    continue  # no new match since the last visit
+                delta = _Store(full_schema, new)
             matches = {tuple([e.ser for e in m]): m
                        for m in _body_matches(body, store, delta)}
             for key in sorted(matches):

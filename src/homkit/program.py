@@ -83,7 +83,7 @@ class Program:
     """
 
     __slots__ = ("s_in", "s_out", "s_aux", "rules", "articulation",
-                 "_terminates", "_full")
+                 "is_datalog", "_terminates", "_full")
 
     def __init__(self, s_in: Schema, s_out: Schema, s_aux: Schema,
                  rules: Iterable[Rule], articulation: Optional[dict] = None):
@@ -92,6 +92,8 @@ class Program:
         self.s_aux = s_aux
         self.rules = tuple(rules)
         self.articulation = dict(articulation or {})
+        # rules is assigned only here, so this is decided once
+        self.is_datalog: bool = all(r.is_datalog for r in self.rules)
         self._terminates: Optional[bool] = None
         self._validate()
 
@@ -135,10 +137,6 @@ class Program:
                                    f"{rel}@{pos}")
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def is_datalog(self) -> bool:
-        return all(r.is_datalog for r in self.rules)
 
     @property
     def terminates(self) -> bool:

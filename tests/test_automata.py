@@ -1,6 +1,7 @@
 """Tree-terms, automata, their algebra, and Datalog compilation."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -90,7 +91,8 @@ def list_filter_terms(schema, labels, depth):
 
 def test_enumerate_terms_matches_list_filter_reference():
     cases = [(S, LABELS, 2),
-             (Schema([("E", 2), ("F", 1), ("Z", 0)]), ("X1", "X2"), 2)]
+             (Schema([("E", 2), ("F", 1), ("Z", 0)]), ("X1", "X2"), 2),
+             (Schema([("T", 3), ("E", 2)]), (), 2)]
     for schema, labels, depth in cases:
         got = list(enumerate_terms(schema, labels, depth))
         assert got == list(list_filter_terms(schema, labels, depth))
@@ -107,6 +109,19 @@ def test_enumerate_terms_builds_checked_equal_nodes_at_depth_3():
             rebuilt = node(t.rel, t.index, t.children)
             assert t == rebuilt and hash(t) == hash(rebuilt)
     assert count == 81_610
+
+
+def test_enumerate_terms_keeps_no_deepest_level():
+    # the 81,408 terms of height 3 are yielded as they are built; holding
+    # them in a list first peaked at 12.8 MB
+    tracemalloc.start()
+    try:
+        for _ in enumerate_terms(S, LABELS, 3):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_tree_term_round_trip():
@@ -206,21 +221,35 @@ def test_accepted_cover_minimal():
     assert accepted_cover(make_empty_automaton(), 2) == []
 
 
+def _consumed(monkeypatch, A, depth) -> int:
+    """How many terms ``accepted_cover(A, depth)`` takes from
+    ``enumerate_terms``."""
+    consumed = 0
+    real = automata.enumerate_terms
+
+    def counted(*args):
+        nonlocal consumed
+        for t in real(*args):
+            consumed += 1
+            yield t
+
+    monkeypatch.setattr(automata, "enumerate_terms", counted)
+    accepted_cover(A, depth)
+    return consumed
+
+
 @pytest.mark.parametrize("make", [make_label_automaton, make_edge_automaton,
                                   make_empty_automaton])
 def test_accepted_cover_consumes_every_term(monkeypatch, make):
     # the benchmark's traced count of automata.terms relies on this
-    consumed = []
-    real = automata.enumerate_terms
+    assert _consumed(monkeypatch, make(), 2) == 202
 
-    def counted(*args):
-        for t in real(*args):
-            consumed.append(t)
-            yield t
 
-    monkeypatch.setattr(automata, "enumerate_terms", counted)
-    accepted_cover(make(), 2)
-    assert len(consumed) == 202
+@pytest.mark.parametrize("make", [make_label_automaton, make_edge_automaton,
+                                  make_empty_automaton])
+def test_accepted_cover_consumes_every_term_at_depth_3(monkeypatch, make):
+    # the depth the benchmark counts
+    assert _consumed(monkeypatch, make(), 3) == 81_610
 
 
 def test_accepted_cover_builds_no_tree_above_an_accepted_term(monkeypatch):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import chase_reference as ref
 from conftest import (
     digraph,
     make_tc_program,
@@ -12,6 +13,7 @@ from conftest import (
     sigma1,
     sigma2,
 )
+from homkit import chase
 from homkit.chase import (
     NotWeaklyAcyclic,
     chase_datalog,
@@ -20,6 +22,9 @@ from homkit.chase import (
 )
 from homkit.core import Element, Instance, Schema, find_homomorphism
 from homkit.program import (
+    Atom,
+    Program,
+    Rule,
     instance_to_input,
     output_to_instance,
     tgd_compile,
@@ -144,3 +149,33 @@ def test_universality_of_wa_chase():
                           fixed=[e for e in res.full.domain
                                  if e.kind == "named"])
     assert h is not None
+
+
+def test_idle_rule_visits_build_no_delta_store(monkeypatch):
+    # after its first visit, the copy rule R :- R_in never sees a new R_in
+    # fact, and the body-less rule stays satisfied: neither builds a delta
+    # store, while R_out :- R and the inclusion rule build one in each of
+    # rounds 2-5; the store of the chase itself is the ninth
+    built = []
+
+    class Counted(chase._Store):
+        __slots__ = ()
+
+        def __init__(self, schema, facts=()):
+            built.append(schema)
+            super().__init__(schema, facts)
+
+    P = tgd_compile(list(sigma2()))
+    P = Program(P.s_in, P.s_out, P.s_aux.union(Schema([("Q", 2)])),
+                (Rule((Atom("Q", ("u", "v")),), (), ("u", "v")),) + P.rules)
+    I = instance_to_input(rel_instance("R", 2, [("a1", "a2")]), P)
+    want = ref.chase_existential(P, I, mode="bounded", budget=5)
+    monkeypatch.setattr(chase, "_Store", Counted)
+    got = chase_existential(P, I, mode="bounded", budget=5)
+    assert len(built) == 9
+    assert got.full.sorted_facts() == want.full.sorted_facts()
+    assert (got.steps, got.terminated) == (want.steps, want.terminated) \
+        == (5, False)
+    assert sorted(e.ser for e in got.full.domain
+                  if e.kind == "null") == [f"_n{k}" for k in range(1, 8)]
+    assert ("Q", (Element.null(1), Element.null(2))) in got.full.facts
