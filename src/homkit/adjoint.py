@@ -26,12 +26,12 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
+    _incidence_links,
 )
 from .program import (
     Atom,
     Program,
     Rule,
-    _incidence_links,
     articulation_search,
     classify,
     fresh_name,
@@ -106,7 +106,7 @@ def _var_components(body: tuple[Atom, ...]) -> list[set[str]]:
     """Connected components of the body's variable graph (variables linked
     when they co-occur in an atom).  One (possibly empty) set per component
     of the atom graph."""
-    uf = _incidence_links(body)
+    uf = _incidence_links([atom.args for atom in body])
     comps: dict = {}
     for idx, atom in enumerate(body):
         comps.setdefault(uf.find(idx), set()).update(atom.args)

@@ -12,13 +12,13 @@ tree maps homomorphically into the input.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import CapExceeded, Element, HomkitError, Instance, Schema, \
-    find_homomorphism
+    find_homomorphism, structure_report
 from .program import Atom, Program, Rule
+from .syntax import ParseError, _comma_list, _parse_rel_decl, _Tokens
 
 STATE_CAP = 2 ** 16
 
@@ -126,8 +126,6 @@ def tree_to_term(T: Instance, labels) -> TreeTerm:
     Requires a single point and a connected acyclic instance; the label
     predicates are carried on leaves, all other facts become internal
     nodes."""
-    from .core import structure_report
-
     if len(T.points) != 1:
         raise AutomatonError("tree conversion needs exactly one point")
     rep = structure_report(T)
@@ -515,8 +513,13 @@ def automaton_to_datalog(A: TreeAutomaton) -> Program:
 # ---------------------------------------------------------------------------
 
 
+def _name(toks: _Tokens) -> str:
+    """A state or label name: an identifier or a numeral."""
+    return (toks.accept("num") or toks.expect("ident", what="name"))[1]
+
+
 def parse_automaton(text: str) -> TreeAutomaton:
-    """Parse the line-oriented automaton format:
+    """Parse the automaton format:
 
     automaton over E/2, F/3
     labels: X1 X2
@@ -524,120 +527,71 @@ def parse_automaton(text: str) -> TreeAutomaton:
     accept: q1
     leaf {X1} -> q0
     trans E 1 (q0,q1) -> q1
-    """
-    from .syntax import ParseError
 
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines or not lines[0][1].startswith("automaton"):
-        raise ParseError("expected 'automaton over ...'", 1, 1)
-    header = lines[0][1][len("automaton"):].strip()
+    The names of a ``labels:``, ``states:`` or ``accept:`` list run to
+    the end of its line and may be separated by commas.
+    """
+    toks = _Tokens(text)
+    toks.expect("ident", "automaton")
     rels = []
-    if header:
-        if not header.startswith("over"):
-            raise ParseError("expected 'over' after 'automaton'",
-                             lines[0][0], 1)
-        for part in header[len("over"):].split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "/" not in part:
-                raise ParseError(f"bad relation declaration {part!r}",
-                                 lines[0][0], 1)
-            name, arity = part.split("/")
-            rels.append((name.strip(), int(arity)))
-    labels: list[str] = []
-    states: list[str] = []
-    accepting: list[str] = []
+    if toks.accept("ident", "over") and not toks.line_ends():
+        rels = _comma_list(toks, _parse_rel_decl)
+    lists: dict[str, list] = {"labels": [], "states": [], "accept": []}
     leaf_delta: dict = {}
     trans: dict = {}
-    for lineno, ln in lines[1:]:
-        if ln.startswith("labels:"):
-            labels = ln[len("labels:"):].replace(",", " ").split()
-        elif ln.startswith("states:"):
-            states = ln[len("states:"):].replace(",", " ").split()
-        elif ln.startswith("accept:"):
-            accepting = ln[len("accept:"):].replace(",", " ").split()
-        elif ln.startswith("leaf"):
-            rest = ln[len("leaf"):].strip()
-            if "->" not in rest or not rest.startswith("{"):
-                raise ParseError("bad leaf line", lineno, 1)
-            lhs, q = rest.split("->")
-            lhs = lhs.strip()
-            if not lhs.endswith("}"):
-                raise ParseError("bad leaf label set", lineno, 1)
-            labs = frozenset(
-                x for x in lhs[1:-1].replace(",", " ").split())
-            leaf_delta.setdefault(labs, set()).add(q.strip())
-        elif ln.startswith("trans"):
-            parts = ln[len("trans"):].strip()
-            if "->" not in parts:
-                raise ParseError("bad trans line", lineno, 1)
-            lhs, q0 = parts.split("->")
-            lhs = lhs.strip()
-            try:
-                rel, idx, rest = lhs.split(None, 2)
-            except ValueError:
-                raise ParseError("bad trans line", lineno, 1) from None
-            rest = rest.strip()
-            if not (rest.startswith("(") and rest.endswith(")")):
-                raise ParseError("bad trans state tuple", lineno, 1)
-            qs = tuple(x.strip() for x in rest[1:-1].split(",")
-                       if x.strip())
-            trans.setdefault((rel, int(idx)), set()).add((qs, q0.strip()))
+    while toks.peek()[0] != "eof":
+        tok = toks.next()
+        if tok[1] in lists:
+            toks.expect("sym", ":")
+            names = lists[tok[1]] = []
+            while not toks.line_ends():
+                if not toks.accept("sym", ","):
+                    names.append(_name(toks))
+        elif tok[1] == "leaf":
+            toks.expect("sym", "{")
+            labels = frozenset(_comma_list(toks, _name, "}"))
+            toks.expect("arrow")
+            leaf_delta.setdefault(labels, set()).add(_name(toks))
+        elif tok[1] == "trans":
+            rel = toks.expect("ident", what="relation name")[1]
+            index = int(toks.expect("num", what="root index")[1])
+            toks.expect("sym", "(")
+            kids = tuple(_comma_list(toks, _name, ")"))
+            toks.expect("arrow")
+            trans.setdefault((rel, index), set()).add((kids, _name(toks)))
         else:
-            raise ParseError(f"unrecognized line {ln!r}", lineno, 1)
+            toks.error("expected labels:, states:, accept:, leaf or trans",
+                       tok)
     try:
         return TreeAutomaton(
-            Schema(rels), tuple(labels), tuple(states),
-            frozenset(accepting),
+            Schema(rels), tuple(lists["labels"]), tuple(lists["states"]),
+            frozenset(lists["accept"]),
             {s: frozenset(qs) for s, qs in leaf_delta.items()},
             {k: frozenset(v) for k, v in trans.items()})
     except HomkitError as exc:
-        raise ParseError(str(exc), len(lines), 1) from exc
+        raise ParseError(str(exc), *toks.where(len(text))) from exc
 
 
 def parse_term(text: str) -> TreeTerm:
     """Parse the term notation produced by ``str(term)``:
     ``{X1,X2}`` for a leaf, ``R@i(t1,...,tk)`` for an internal node."""
-    from .syntax import ParseError
-
-    s = text.strip()
-    pos = 0
-
-    def error(msg):
-        raise ParseError(msg, 1, pos + 1)
-
-    def parse() -> TreeTerm:
-        nonlocal pos
-        if pos >= len(s):
-            error("unexpected end of term")
-        if s[pos] == "{":
-            end = s.find("}", pos)
-            if end < 0:
-                error("unclosed label set")
-            labs = [x.strip() for x in s[pos + 1:end].split(",")
-                    if x.strip()]
-            pos = end + 1
-            return leaf(labs)
-        m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)@([0-9]+)\(", s[pos:])
-        if not m:
-            error("expected leaf '{...}' or node 'R@i(...)'")
-        rel, idx = m.group(1), int(m.group(2))
-        pos += m.end()
-        children = [parse()]
-        while pos < len(s) and s[pos] == ",":
-            pos += 1
-            children.append(parse())
-        if pos >= len(s) or s[pos] != ")":
-            error("expected ')' or ','")
-        pos += 1
-        return node(rel, idx, children)
-
-    t = parse()
-    if s[pos:].strip():
-        error("trailing text after term")
+    toks = _Tokens(text)
+    t = _parse_term(toks)
+    if toks.peek()[0] != "eof":
+        toks.error("trailing text after term")
     return t
+
+
+def _parse_term(toks: _Tokens) -> TreeTerm:
+    if toks.accept("sym", "{"):
+        return leaf(_comma_list(toks, _name, "}"))
+    rel = toks.expect("ident", what="leaf '{...}' or node 'R@i(...)'")[1]
+    toks.expect("sym", "@")
+    index = int(toks.expect("num", what="root index")[1])
+    toks.expect("sym", "(")
+    children = _comma_list(toks, _parse_term)
+    toks.expect("sym", ")")
+    return node(rel, index, children)
 
 
 def print_automaton(A: TreeAutomaton) -> str:

@@ -26,14 +26,16 @@ from .automata import (
     run as run_automaton,
     union,
 )
-from .chase import DEFAULT_BUDGET, run_program
+from .chase import DEFAULT_BUDGET, chase_existential, run_program
 from .core import (
     CapExceeded,
     HomkitError,
     Instance,
+    core_of,
     find_homomorphism,
 )
-from .duality import abox_dual, dual_from_program, dual_wrt_theory
+from .duality import abox_dual, dual_from_program, dual_wrt_theory, \
+    frontier_program
 from .oracle import (
     Verdict,
     programs_equivalent_bounded,
@@ -43,7 +45,6 @@ from .oracle import (
 from .program import classify, restrict_output, pultr_compile, tgd_compile, \
     unfoldings
 from .syntax import (
-    ParseError,
     dumps,
     instance_json,
     parse_instance,
@@ -137,8 +138,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_chase(args) -> int:
-    from .chase import chase_existential
-
     P = _load_program(args.program)
     I = _load_instance(args.instance)
     if args.mode == "auto":
@@ -203,9 +202,6 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    from .core import core_of
-    from .duality import frontier_program
-
     if bool(args.program) == bool(args.frontier) or \
             (args.program and not args.rel):
         print("error: provide either --program with --rel, or --frontier",
@@ -644,10 +640,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HomkitError as exc:
+    except (HomkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

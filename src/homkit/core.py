@@ -581,8 +581,12 @@ class StructureReport:
 
 
 class _UnionFind:
+    """Union-find; ``forest`` stays true while no union joins two nodes
+    that are already connected."""
+
     def __init__(self):
         self.parent = {}
+        self.forest = True
 
     def find(self, x):
         self.parent.setdefault(x, x)
@@ -593,38 +597,33 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a, b) -> bool:
-        """Merge; returns False if a and b were already connected."""
+    def union(self, a, b) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+            self.forest = False
+        else:
+            self.parent[ra] = rb
+
+    def components(self) -> int:
+        return len({self.find(x) for x in list(self.parent)})
 
 
-def _incidence_forest(facts, skip=frozenset()):
-    """Forest-check the incidence multigraph of the given facts.
+def _incidence_links(arg_tuples, cut=None, skip=frozenset()) -> _UnionFind:
+    """Union-find over the incidence graph of argument tuples (the facts
+    of an instance, the atoms of a rule body).
 
-    Element nodes in ``skip`` are removed (with their incident edges).
-    Returns (is_forest, components) where components counts the connected
-    components among the remaining element/fact nodes.
+    Nodes are the tuple indices and the arguments; there is one link per
+    (index, argument) occurrence, so an argument repeated within a tuple
+    closes a cycle.  The link ``cut`` is left out, and so are the
+    arguments in ``skip``, with their links.
     """
     uf = _UnionFind()
-    nodes = set()
-    forest = True
-    for idx, (rel, args) in enumerate(facts):
-        fnode = ("f", idx)
-        nodes.add(fnode)
-        uf.find(fnode)
-        for e in args:
-            if e in skip:
-                continue
-            enode = ("e", e)
-            nodes.add(enode)
-            if not uf.union(fnode, enode):
-                forest = False
-    roots = {uf.find(n) for n in nodes}
-    return forest, len(roots)
+    for i, args in enumerate(arg_tuples):
+        uf.find(i)
+        for a in args:
+            if a not in skip and (i, a) != cut:
+                uf.union(i, a)
+    return uf
 
 
 def structure_report(A: Instance) -> StructureReport:
@@ -635,13 +634,12 @@ def structure_report(A: Instance) -> StructureReport:
     fact (a repeated element within one fact is a 2-cycle).  c-acyclicity
     deletes the point elements first and asks for forest-ness of the rest.
     """
-    facts = A.sorted_facts()
-    acyclic, comps = _incidence_forest(facts)
-    connected = comps <= 1
-    c_acyclic, _ = _incidence_forest(facts, skip=frozenset(A.points))
+    arg_tuples = [args for _, args in A.facts]
+    links = _incidence_links(arg_tuples)
     return StructureReport(
-        acyclic=acyclic, connected=connected, c_acyclic=c_acyclic
-    )
+        acyclic=links.forest, connected=links.components() <= 1,
+        c_acyclic=_incidence_links(arg_tuples,
+                                   skip=frozenset(A.points)).forest)
 
 
 # ---------------------------------------------------------------------------

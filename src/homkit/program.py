@@ -15,9 +15,9 @@ from .core import (
     HomkitError,
     Instance,
     Schema,
+    _incidence_links,
     _UnionFind,
     isomorphic,
-    structure_report,
 )
 
 
@@ -354,11 +354,11 @@ def _weakly_acyclic(P: Program) -> bool:
 
 
 def classify(P: Program) -> Classification:
-    full = P.full_schema()
-    reports = [structure_report(canonical_instance(r.body_atoms, full))
-               for r in P.rules]
-    tree_shaped = all(rep.acyclic for rep in reports)
-    connected = all(rep.connected for rep in reports)
+    # a repeated atom is one fact of the body's canonical instance
+    bodies = [_incidence_links([a.args for a in dict.fromkeys(r.body_atoms)])
+              for r in P.rules]
+    tree_shaped = all(uf.forest for uf in bodies)
+    connected = all(uf.components() <= 1 for uf in bodies)
     witness = articulation_search(P)
     almost_monadic = witness is not None
     in_names = set(P.s_in.names)
@@ -468,20 +468,6 @@ def repair_unsafe_rules(rules: list[Rule], s_in: Schema) -> list[Rule]:
 # ---------------------------------------------------------------------------
 
 
-def _incidence_links(body: tuple[Atom, ...], cut=None) -> _UnionFind:
-    """Union-find over the incidence graph of a rule body.
-
-    Nodes are the atom indices and the variables; there is one link per
-    (atom index, variable) occurrence, and the link ``cut`` is left out.
-    """
-    uf = _UnionFind()
-    for i, atom in enumerate(body):
-        for v in atom.args:
-            if (i, v) != cut:
-                uf.union(i, v)
-    return uf
-
-
 def _split_rule(rule: Rule, in_names: set[str]):
     """Candidate splits of a body with >= 2 input atoms into two atom
     groups sharing at most one variable ``z``, each keeping at least one
@@ -499,7 +485,8 @@ def _split_rule(rule: Rule, in_names: set[str]):
     body = rule.body_atoms
     atoms = range(len(body))
     inputs = [i for i in atoms if body[i].rel in in_names]
-    uf = _incidence_links(body)
+    args = [atom.args for atom in body]
+    uf = _incidence_links(args)
     roots = {uf.find(i) for i in inputs}
     if len(roots) >= 2:
         first = next(uf.find(i) for i in atoms if uf.find(i) in roots)
@@ -511,7 +498,7 @@ def _split_rule(rule: Rule, in_names: set[str]):
     cuts = []
     for i, atom in enumerate(body):
         for z in atom.args:
-            cut = _incidence_links(body, cut=(i, z))
+            cut = _incidence_links(args, cut=(i, z))
             if cut.find(start) == cut.find(z) != cut.find(i) == \
                     cut.find(goal):
                 g2 = [j for j in atoms if cut.find(j) == cut.find(goal)]

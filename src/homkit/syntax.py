@@ -2,7 +2,9 @@
 
 Printers emit a canonical form (sorted declarations, facts and rules) so
 that output is byte-identical across runs, and ``parse(print(x)) == x`` for
-every model value.  ``#`` starts a line comment in every format.
+every model value.  ``#`` starts a line comment in every format.  The
+tokenizer ``_Tokens`` and the list reader ``_comma_list`` also read the
+automaton and term formats of ``automata``.
 
 Reserved element spellings: ``_bot`` for the bottom element, ``_n<k>`` for
 labeled nulls, ``(<elem>|{<facts>})`` for pair elements.  User identifiers
@@ -15,7 +17,7 @@ import json
 import re
 
 from .core import BOTTOM, Element, HomkitError, Instance, Schema, fact_ser
-from .program import TGD, Atom, Program, Rule
+from .program import TGD, Atom, Program, Rule, tgd_schema
 from .ucq import CQ, UCQ
 
 
@@ -36,39 +38,37 @@ _TOKEN_RE = re.compile(
        |(?P<ident>[A-Za-z][A-Za-z0-9_]*)
        |(?P<num>[0-9]+)
        |(?P<sym>[(){},:|/@.])
+       |(?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 class _Tokens:
+    """The tokens of a text as (kind, value, offset) triples.  An offset
+    becomes a line and column only in an error message."""
+
     def __init__(self, text: str):
-        self.toks: list[tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}",
-                                 line, col)
-            kind = m.lastgroup
-            value = m.group()
-            if kind not in ("ws", "comment"):
-                self.toks.append((kind, value, line, col))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            pos = m.end()
+        self.text = text
+        self.toks = [(m.lastgroup, m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(text)
+                     if m.lastgroup not in ("ws", "comment")]
+        for kind, value, pos in self.toks:
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}",
+                                 *self.where(pos))
         self.i = 0
-        self.end = (line, col)
+        self.end = ("eof", "", len(text))
+
+    def where(self, pos: int) -> tuple[int, int]:
+        """The line and column of an offset."""
+        return (self.text.count("\n", 0, pos) + 1,
+                pos - self.text.rfind("\n", 0, pos))
 
     def peek(self, ahead: int = 0):
         if self.i + ahead < len(self.toks):
             return self.toks[self.i + ahead]
-        return ("eof", "", *self.end)
+        return self.end
 
     def next(self):
         tok = self.peek()
@@ -87,15 +87,20 @@ class _Tokens:
     def expect(self, kind, value=None, what=None):
         tok = self.accept(kind, value)
         if tok is None:
-            got = self.peek()
-            want = what or value or kind
-            raise ParseError(f"expected {want}, found {got[1]!r}",
-                             got[2], got[3])
+            self.error(f"expected {what or value or kind}, "
+                       f"found {self.peek()[1]!r}")
         return tok
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
+    def line_ends(self) -> bool:
+        """Does a line break or the end of the text follow the last token
+        taken?"""
+        _, value, pos = self.toks[self.i - 1]
+        nxt = self.peek()
+        return nxt[0] == "eof" or \
+            self.text.find("\n", pos + len(value), nxt[2]) >= 0
+
+    def error(self, message: str, tok=None):
+        raise ParseError(message, *self.where((tok or self.peek())[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +115,39 @@ def _parse_rel_decl(toks: _Tokens) -> tuple[str, int]:
     return name, arity
 
 
+def _comma_list(toks: _Tokens, item, close: str = "") -> list:
+    """Comma-separated ``item``s.  With ``close``, the list may be empty
+    and runs through that symbol; without, it has at least one item and
+    ends at the first one no comma follows."""
+    items = []
+    if close and toks.accept("sym", close):
+        return items
+    items.append(item(toks))
+    while not (toks.accept("sym", close) if close
+               else toks.peek()[1] != ","):
+        toks.expect("sym", ",")
+        items.append(item(toks))
+    return items
+
+
+def _variable(toks: _Tokens) -> str:
+    return toks.expect("ident", what="variable")[1]
+
+
 def _parse_atom(toks: _Tokens) -> Atom:
     rel = toks.expect("ident", what="relation name")[1]
     toks.expect("sym", "(")
-    args = []
-    if not toks.accept("sym", ")"):
-        while True:
-            args.append(toks.expect("ident", what="variable")[1])
-            if toks.accept("sym", ")"):
-                break
-            toks.expect("sym", ",")
-    return Atom(rel, tuple(args))
+    return Atom(rel, tuple(_comma_list(toks, _variable, ")")))
+
+
+def _parse_exists(toks: _Tokens) -> tuple[str, ...]:
+    """The variables of an ``exists x, y :`` clause, if one comes next."""
+    if toks.peek()[1] != "exists":
+        return ()
+    toks.next()
+    evars = _comma_list(toks, _variable)
+    toks.expect("sym", ":")
+    return tuple(evars)
 
 
 def _parse_element(toks: _Tokens) -> Element:
@@ -136,13 +163,7 @@ def _parse_element(toks: _Tokens) -> Element:
         base = _parse_element(toks)
         toks.expect("sym", "|")
         toks.expect("sym", "{")
-        facts = []
-        if not toks.accept("sym", "}"):
-            while True:
-                facts.append(_parse_pair_fact(toks))
-                if toks.accept("sym", "}"):
-                    break
-                toks.expect("sym", ",")
+        facts = _comma_list(toks, _parse_pair_fact, "}")
         toks.expect("sym", ")")
         return Element.pair(base, facts)
     toks.error("expected an element")
@@ -151,14 +172,7 @@ def _parse_element(toks: _Tokens) -> Element:
 def _parse_pair_fact(toks: _Tokens):
     rel = toks.expect("ident", what="relation name")[1]
     toks.expect("sym", "(")
-    args = []
-    if not toks.accept("sym", ")"):
-        while True:
-            args.append(_parse_element(toks))
-            if toks.accept("sym", ")"):
-                break
-            toks.expect("sym", ",")
-    return (rel, tuple(args))
+    return (rel, tuple(_comma_list(toks, _parse_element, ")")))
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +212,14 @@ def parse_program(text: str) -> Program:
         return Program(Schema(schemas["in"]), Schema(schemas["out"]),
                        Schema(schemas["aux"]), rules, articulation)
     except HomkitError as exc:
-        raise ParseError(str(exc), *toks.end) from exc
+        raise ParseError(str(exc), *toks.where(len(text))) from exc
 
 
 def _parse_rule(toks: _Tokens) -> Rule:
-    existentials: tuple[str, ...] = ()
-    if toks.peek()[1] == "exists":
-        toks.next()
-        evars = [toks.expect("ident", what="variable")[1]]
-        while toks.accept("sym", ","):
-            evars.append(toks.expect("ident", what="variable")[1])
-        toks.expect("sym", ":")
-        existentials = tuple(evars)
-    head = [_parse_atom(toks)]
-    while toks.accept("sym", ","):
-        head.append(_parse_atom(toks))
+    existentials = _parse_exists(toks)
+    head = _comma_list(toks, _parse_atom)
     toks.expect("coldash")
-    body = []
-    if not toks.accept("sym", "."):
-        while True:
-            body.append(_parse_atom(toks))
-            if toks.accept("sym", "."):
-                break
-            toks.expect("sym", ",")
+    body = _comma_list(toks, _parse_atom, ".")
     return Rule(tuple(head), tuple(body), existentials)
 
 
@@ -256,10 +255,7 @@ def parse_instance(text: str) -> Instance:
     toks = _Tokens(text)
     toks.expect("ident", "instance")
     toks.expect("ident", "over")
-    rels = [_parse_rel_decl(toks)]
-    while toks.accept("sym", ","):
-        rels.append(_parse_rel_decl(toks))
-    schema = Schema(rels)
+    schema = Schema(_comma_list(toks, _parse_rel_decl))
     domain: set[Element] = set()
     if toks.peek()[1] == "domain":
         toks.next()
@@ -295,7 +291,7 @@ def parse_instance(text: str) -> Instance:
     try:
         return Instance(schema, domain, facts, points)
     except HomkitError as exc:
-        raise ParseError(str(exc), *toks.end) from exc
+        raise ParseError(str(exc), *toks.where(len(text))) from exc
 
 
 def print_instance(I: Instance) -> str:
@@ -320,21 +316,10 @@ def parse_tgds(text: str) -> list[TGD]:
     toks = _Tokens(text)
     tgds = []
     while toks.peek()[0] != "eof":
-        body = [_parse_atom(toks)]
-        while toks.accept("sym", ","):
-            body.append(_parse_atom(toks))
+        body = _comma_list(toks, _parse_atom)
         toks.expect("arrow")
-        existentials: tuple[str, ...] = ()
-        if toks.peek()[1] == "exists":
-            toks.next()
-            evars = [toks.expect("ident", what="variable")[1]]
-            while toks.accept("sym", ","):
-                evars.append(toks.expect("ident", what="variable")[1])
-            toks.expect("sym", ":")
-            existentials = tuple(evars)
-        head = [_parse_atom(toks)]
-        while toks.accept("sym", ","):
-            head.append(_parse_atom(toks))
+        existentials = _parse_exists(toks)
+        head = _comma_list(toks, _parse_atom)
         toks.expect("sym", ".")
         tgd = TGD(tuple(body), tuple(head), existentials)
         head_vars = {v for a in tgd.head_atoms for v in a.args}
@@ -342,10 +327,7 @@ def parse_tgds(text: str) -> list[TGD]:
         if head_vars - body_vars - set(existentials):
             toks.error("unsafe dependency: head variable not in body")
         tgds.append(tgd)
-    # arity consistency
-    from .program import tgd_schema
-
-    tgd_schema(tgds)
+    tgd_schema(tgds)  # arity consistency
     return tgds
 
 
@@ -367,23 +349,11 @@ def parse_query(text: str) -> UCQ:
     disjuncts = []
     while toks.peek()[0] != "eof":
         toks.expect("sym", "(")
-        answer = []
-        if not toks.accept("sym", ")"):
-            while True:
-                answer.append(toks.expect("ident", what="variable")[1])
-                if toks.accept("sym", ")"):
-                    break
-                toks.expect("sym", ",")
+        answer = _comma_list(toks, _variable, ")")
         if len(answer) != arity:
             toks.error(f"answer tuple arity {len(answer)} != {arity}")
         toks.expect("coldash")
-        atoms = []
-        if not toks.accept("sym", "."):
-            while True:
-                atoms.append(_parse_atom(toks))
-                if toks.accept("sym", "."):
-                    break
-                toks.expect("sym", ",")
+        atoms = _comma_list(toks, _parse_atom, ".")
         body_vars = {v for a in atoms for v in a.args}
         missing = set(answer) - body_vars
         if missing:
@@ -393,7 +363,7 @@ def parse_query(text: str) -> UCQ:
     try:
         return UCQ(name, arity, tuple(disjuncts))
     except HomkitError as exc:
-        raise ParseError(str(exc), *toks.end) from exc
+        raise ParseError(str(exc), *toks.where(len(text))) from exc
 
 
 def print_query(q: UCQ) -> str:

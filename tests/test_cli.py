@@ -333,6 +333,19 @@ def test_verify_abox_duality_without_theory_is_a_usage_error(files, capsys):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("E/2", "E/x"), ("E/2", "E/2/3"), ("trans E 1", "trans E one"),
+    ("{} -> q0", "{} -> q0 -> q1"), ("(q0,q0) -> q1", "(q0,q0) -> q1 -> q0"),
+], ids=("arity", "double-slash", "root-index", "leaf-arrows",
+        "trans-arrows"))
+def test_malformed_automaton_exits_2(capsys, tmp_path, old, new):
+    text = print_automaton(make_edge_automaton())
+    (tmp_path / "bad.aut").write_text(text.replace(old, new, 1))
+    assert main(["automaton", "compile", str(tmp_path / "bad.aut")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and err.count("\n") == 1
+
+
 def test_conflicting_arities_exit_2(files, capsys, tmp_path):
     (tmp_path / "bad.inst").write_text("instance over E/1, E/2\nE(a,b).\n")
     (tmp_path / "bad.dl").write_text(

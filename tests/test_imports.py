@@ -1,7 +1,8 @@
 """Every name a homkit module imports is used somewhere in that module,
 every parameter of a homkit function is read in its body, every private
-module-level function is named outside its own definition, and the oracle
-imports none of the constructions it checks."""
+module-level function is named outside its own definition, the oracle
+imports none of the constructions it checks, and only the tokenizer's
+module imports ``re``."""
 
 import ast
 import pathlib
@@ -68,6 +69,30 @@ def test_oracle_imports_only_core_program_and_chase():
     # the oracle stays independent of the constructions it checks
     assert _package_imports((SRC / "oracle.py").read_text()) <= \
         {"core", "program", "chase"}
+
+
+def _top_level_imports(source: str) -> set:
+    """The top-level names of the absolute imports of a source file."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_top_level_import_detector():
+    source = ("import re\nimport os.path\nfrom json import dumps\n"
+              "from .re import x\ndef f():\n    import itertools\n")
+    assert _top_level_imports(source) == {"re", "os", "json", "itertools"}
+
+
+def test_only_syntax_imports_re():
+    # one tokenizer: every text format is read through syntax._Tokens
+    importers = {path.name for path in sorted(SRC.glob("*.py"))
+                 if "re" in _top_level_imports(path.read_text())}
+    assert importers == {"syntax.py"}
 
 
 def _unread_parameters(source: str) -> list:

@@ -20,12 +20,14 @@ from conftest import (
     sigma2,
 )
 from homkit.chase import run_program
-from homkit.core import Element, Instance, Schema, isomorphic
+from homkit.core import Element, Instance, Schema, isomorphic, \
+    structure_report
 from homkit.program import (
     Atom,
     ProgramError,
     Program,
     Rule,
+    canonical_instance,
     classify,
     instance_to_input,
     monadic_reduction,
@@ -64,6 +66,29 @@ def test_classify_compiled_theories():
     assert not c1.tam and c1.weakly_acyclic
     cr = classify(make_sigma1_rewrite())
     assert cr.tam
+
+
+def test_classify_shape_matches_the_canonical_instance():
+    # classify reads tree-shapedness and connectedness off each body's
+    # incidence links; the structure report of the body's canonical
+    # instance (where a repeated atom is one fact) must agree
+    rng = random.Random(20)
+    s_in = Schema([("A", 0), ("U", 1), ("E", 2), ("T", 3)])
+    for _ in range(2000):
+        body = []
+        for _ in range(rng.randint(1, 5)):
+            if body and rng.random() < 0.15:
+                body.append(rng.choice(body))
+            else:
+                rel, arity = rng.choice(s_in.relations)
+                body.append(Atom(rel, tuple(rng.choice("xyzw")
+                                            for _ in range(arity))))
+        P = Program(s_in, Schema([("Ans", 0)]), Schema([]),
+                    [Rule((Atom("Ans", ()),), tuple(body))])
+        cls = classify(P)
+        rep = structure_report(canonical_instance(tuple(body), s_in))
+        assert (cls.tree_shaped, cls.connected) == \
+            (rep.acyclic, rep.connected), body
 
 
 def test_classify_symmetric_closure():

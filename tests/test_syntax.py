@@ -1,6 +1,7 @@
 """Parsers, printers, round trips, and JSON rendering."""
 
 import json
+import random
 
 import pytest
 
@@ -135,8 +136,12 @@ def test_automaton_round_trip():
 def test_term_round_trip():
     t = node("E", 1, [leaf(["X1"]), node("E", 2, [leaf(), leaf(["X1"])])])
     assert parse_term(str(t)) == t
-    with pytest.raises(ParseError):
-        parse_term("E@1({X1}")
+    for text, message in [
+            ("E@1({X1}", "line 1, column 9: expected \\)"),
+            ("E@1({},{}){}", "line 1, column 11: trailing text"),
+            ("E@x({})", "line 1, column 3: expected root index")]:
+        with pytest.raises(ParseError, match=message):
+            parse_term(text)
 
 
 def test_json_rendering_stable():
@@ -167,3 +172,99 @@ def test_conflicting_arities_are_rejected(parse, text):
         parse(text)
     # a repeated declaration with the same arity is accepted
     parse(text.replace("E/1, E/2", "E/2, E/2"))
+
+
+AUTOMATON_TEXT = """\
+automaton over E/2
+labels: X1
+states: q0 q1
+accept: q1
+leaf {} -> q0
+trans E 1 (q0,q0) -> q1
+"""
+
+
+@pytest.mark.parametrize("old, new, line, col, message", [
+    ("E/2", "E/x", 1, 18, "expected arity, found 'x'"),
+    ("E/2", "E/2/3", 1, 19,
+     "expected labels:, states:, accept:, leaf or trans"),
+    ("E 1", "E one", 6, 9, "expected root index, found 'one'"),
+    ("-> q0", "-> q0 -> q1", 5, 15,
+     "expected labels:, states:, accept:, leaf or trans"),
+    ("-> q1", "-> q1 -> q0", 6, 25,
+     "expected labels:, states:, accept:, leaf or trans"),
+    ("q0 q1", "q0 q-1", 3, 13, "unexpected character '-'"),
+], ids=("arity", "double-slash", "root-index", "leaf-arrows",
+        "trans-arrows", "state-spelling"))
+def test_malformed_automata_raise_parse_errors(old, new, line, col,
+                                               message):
+    with pytest.raises(ParseError) as exc:
+        parse_automaton(AUTOMATON_TEXT.replace(old, new, 1))
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"line {line}, column {col}: {message}"
+
+
+def test_automaton_names_run_to_the_end_of_their_line():
+    # a name list ends with its line, so states may be numerals or spell
+    # a keyword; a comment may follow anything
+    text = ("automaton over E/2 # one relation\n"
+            "labels: X1, X2\nstates: 0 leaf\naccept: leaf\n"
+            "leaf {X1,X2} -> 0 # both labels\n"
+            "trans E 2 (0,leaf) -> leaf\n")
+    A = parse_automaton(text)
+    assert A.labels == ("X1", "X2") and A.states == ("0", "leaf")
+    assert A.accepting == frozenset(["leaf"])
+    assert A.trans == {("E", 2): frozenset([(("0", "leaf"), "leaf")])}
+    assert parse_automaton(print_automaton(A)) == A
+    with pytest.raises(ParseError, match="line 3, column 1: expected"):
+        parse_automaton("automaton over E/2\nstates: q0\nq1\n")
+
+
+MUTATION_ALPHABET = "abxyzEFRTUX0129 \n\t,.:;()[]{}/@|-><#_=*q"
+
+
+def _mutations(text: str, count: int, rng: random.Random):
+    """``count`` copies of ``text``, each with 1-3 random character
+    insertions, deletions or replacements."""
+    for _ in range(count):
+        t = text
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(t) + 1)
+            c = rng.choice(MUTATION_ALPHABET)
+            t = rng.choice((t[:i] + c + t[i:], t[:i] + t[i + 1:],
+                            t[:i] + c + t[i + 1:]))
+        yield t
+
+
+def _format_texts():
+    b, c = Element.named("b"), Element.named("c")
+    pair = Element.pair(b, frozenset([("S", (b, c))]))
+    instance = Instance(Schema([("E", 2), ("S", 2)]),
+                        [pair, c, Element.null(3)],
+                        [("E", (pair, c)), ("S", (Element.null(3), c))],
+                        (c,))
+    term = node("E", 1, [leaf(["X1"]), node("E", 2, [leaf(), leaf(["X1"])])])
+    query = parse_query("query q/2\n(x,y) :- E(x,u), F(u,y).\n")
+    return [
+        (parse_program, PROGRAM_TEXT),
+        (parse_instance, print_instance(instance)),
+        (parse_tgds, print_tgds(list(sigma1()) + list(sigma2("S")))),
+        (parse_query, print_query(query)),
+        (parse_automaton, AUTOMATON_TEXT),
+        (parse_term, str(term)),
+    ]
+
+
+def test_mutated_texts_raise_only_homkit_errors():
+    rng = random.Random(2020)
+    leaks = []
+    for parse, text in _format_texts():
+        parse(text)
+        for mutant in _mutations(text, 300, rng):
+            try:
+                parse(mutant)
+            except HomkitError:
+                pass
+            except Exception as exc:  # anything else is a parser fault
+                leaks.append((parse.__name__, mutant, repr(exc)))
+    assert leaks == []
