@@ -587,11 +587,16 @@ def _parse_term(toks: _Tokens) -> TreeTerm:
         return leaf(_comma_list(toks, _name, "}"))
     rel = toks.expect("ident", what="leaf '{...}' or node 'R@i(...)'")[1]
     toks.expect("sym", "@")
-    index = int(toks.expect("num", what="root index")[1])
-    toks.expect("sym", "(")
-    children = _comma_list(toks, _parse_term)
+    index_tok = toks.expect("num", what="root index")
+    toks.enter(toks.expect("sym", "("))
+    children = tuple(_comma_list(toks, _parse_term))
     toks.expect("sym", ")")
-    return node(rel, index, children)
+    toks.leave()
+    index = int(index_tok[1])
+    if not 1 <= index <= len(children):
+        toks.error(f"root index {index} out of range 1..{len(children)}",
+                   index_tok)
+    return _node(rel, index, children)
 
 
 def print_automaton(A: TreeAutomaton) -> str:

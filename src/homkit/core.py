@@ -257,9 +257,6 @@ class Instance:
     def sorted_facts(self) -> list[Fact]:
         return sort_facts(self.facts)
 
-    def facts_of(self, rel: str) -> set:
-        return {f for f in self.facts if f[0] == rel}
-
     def with_points(self, points) -> "Instance":
         return Instance._trusted(self.schema, self.domain, self.facts,
                                  _checked_points(points, self.domain))

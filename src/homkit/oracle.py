@@ -16,16 +16,17 @@ disjunct into an example) goes through ``_some_map``, which folds the
 answers by strong Kleene disjunction: any "yes", then any "unknown", then
 "no".
 
-The duality and adjoint verdicts are invariant under isomorphism of the
-enumerated instance whenever every chase they read runs to its fixpoint
-(``Program.terminates``).  Then they check only the first labeled member
-of each isomorphism class, and, for point tuples, only the least tuple of
-each orbit under the instance's automorphisms (orderly generation: Read,
-"Every one a winner", 1978; McKay, J. Algorithms 1998).  The first failing
-pair in labeled order is such a pair, so the counterexample is the one
-the labeled loop finds.  A chase cut off at its round bound is a prefix
-that can depend on element names, so then every labeled instance is
-checked.  ``enumerate_instances`` still yields every labeled instance.
+Every bounded check reads its instances from one generator, ``_checked``,
+which chases each of them once.  Its one rule: it reads only the first
+labeled member of each isomorphism class, and the least point tuple of each
+orbit under the instance's automorphisms, iff every chase it runs
+terminates (``Program.terminates``).  A terminating chase is unique up to
+isomorphism, so then every verdict it feeds is invariant under isomorphism
+(the duality and adjoint checks, bounded equivalence and the model filter
+alike) and the first counterexample is the labeled loop's (orderly
+generation: Read, "Every one a winner", 1978; McKay, J. Algorithms 1998).
+A chase cut off at its round bound can depend on element names, so then
+every labeled instance and tuple is read.
 """
 
 from __future__ import annotations
@@ -112,8 +113,10 @@ def count_instances(schema: Schema, max_domain: int) -> int:
 
 def _is_model(C: Instance, P_sigma: Program) -> bool:
     """Does the chase of C add nothing new, up to homomorphic equivalence
-    fixing the active domain of C?  ``P_sigma`` terminates, and C is an
-    unpointed instance over its base schema."""
+    fixing the active domain of C?  ``P_sigma`` terminates, and C is
+    unpointed."""
+    if C.schema != P_sigma.s_aux:
+        C = C.with_schema(P_sigma.s_aux)
     chased, _ = chase_theory(P_sigma, C)
     fixed = sorted(set(C.active_domain))
     chased = Instance(P_sigma.s_aux, set(chased.active_domain) | set(fixed),
@@ -121,23 +124,12 @@ def _is_model(C: Instance, P_sigma: Program) -> bool:
     return find_homomorphism(chased, C, fixed=fixed) is not None
 
 
-def enumerate_instances(schema: Schema, max_domain: int,
-                        filter_sigma=None) -> Iterator[Instance]:
+def enumerate_instances(schema: Schema, max_domain: int) -> Iterator[Instance]:
     """All instances over domains {e1..em}, m <= max_domain, all fact
     subsets, ordered by domain size, then fact count, then canonical fact
-    order.  ``filter_sigma`` keeps only instances the dependency chase
-    leaves unchanged up to hom-equivalence over the active domain
-    (requires terminating chases).
-    """
+    order."""
     if max_domain < 0:
         raise OracleError("max_domain must be >= 0")
-    P_sigma = base = None
-    if filter_sigma is not None:
-        P_sigma = tgd_compile(tuple(filter_sigma), schema)
-        base = P_sigma.s_aux
-        if not P_sigma.terminates:
-            raise OracleError("instance filter requires a dependency set "
-                              "with terminating chases")
     for m in range(max_domain + 1):
         elems = [Element.named(f"e{i}") for i in range(1, m + 1)]
         domain = frozenset(elems)
@@ -147,12 +139,7 @@ def enumerate_instances(schema: Schema, max_domain: int,
                                                 size):
                 # valid by construction: every candidate is over elems
                 facts = frozenset([candidates[i] for i in combo])
-                C = Instance._trusted(schema, domain, facts, ())
-                if P_sigma is not None and not _is_model(
-                        C.with_schema(base) if base != schema else C,
-                        P_sigma):
-                    continue
-                yield C
+                yield Instance._trusted(schema, domain, facts, ())
 
 
 def _permutation_table(schema: Schema, m: int) -> tuple[dict, list]:
@@ -173,7 +160,7 @@ def _permutation_table(schema: Schema, m: int) -> tuple[dict, list]:
 
 
 def _class_representatives(schema: Schema, max_domain: int,
-                           filter_sigma=None, up_to_iso: bool = True):
+                           up_to_iso: bool = True):
     """(C, autos) for every C of ``enumerate_instances`` that is the first
     labeled member of its isomorphism class: no permutation of {e1..em}
     maps its fact-index combination to a lexicographically smaller one.
@@ -182,7 +169,7 @@ def _class_representatives(schema: Schema, max_domain: int,
     permutations than instances, every instance comes with no
     automorphisms."""
     m, perms = -1, []
-    for C in enumerate_instances(schema, max_domain, filter_sigma):
+    for C in enumerate_instances(schema, max_domain):
         if up_to_iso and len(C.domain) != m:
             m = len(C.domain)
             index, perms = _permutation_table(schema, m)
@@ -199,13 +186,6 @@ def _class_representatives(schema: Schema, max_domain: int,
                 autos.append(pi)
         else:
             yield C, autos
-
-
-def _least_in_orbit(pts: tuple, autos, rank: dict) -> bool:
-    """Is the point tuple no later than its image under any automorphism,
-    in the product order of ``rank``?"""
-    key = [rank[e] for e in pts]
-    return all([rank[pi[e]] for e in pts] >= key for pi in autos)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +259,48 @@ def abox_morphism(sigma, A: Instance, B: Instance,
 
 
 # ---------------------------------------------------------------------------
+# The bounded loop
+# ---------------------------------------------------------------------------
+
+
+def _program_output(P: Program, I: Instance, budget: int):
+    """(output instance restricted to its active domain, stable?)"""
+    res = run_program(P, I, budget=budget)
+    return adom_instance(res.output), res.terminated
+
+
+def _checked(schema: Schema, B: int, k: int, programs=(),
+             P_sigma: Optional[Program] = None,
+             models_of: Optional[Program] = None):
+    """(C pointed at pts, pts, runs) for each instance C with at most B
+    elements and each k-tuple pts over its domain that a bounded check
+    reads, by the rule of the module docstring.  ``runs``, shared by C's
+    tuples, holds C's ``_program_output`` through each of ``programs``,
+    then its ``_abox_chase`` through ``P_sigma``.  Only models of
+    ``models_of`` are read, and no instance without a point tuple."""
+    if models_of is not None and not models_of.terminates:
+        raise OracleError("instance filter requires a dependency set "
+                          "with terminating chases")
+    up_to_iso = all(P.terminates for P in programs) and \
+        (P_sigma is None or P_sigma.terminates)
+    for C, autos in _class_representatives(schema, B, up_to_iso):
+        if k and not C.domain:
+            continue
+        if models_of is not None and not _is_model(C, models_of):
+            continue
+        runs = [_program_output(P, C, PROGRAM_ROUNDS) for P in programs]
+        if P_sigma is not None:
+            runs.append(_abox_chase(P_sigma, C))
+        order = C.sorted_domain()
+        rank = {e: i for i, e in enumerate(order)}
+        for pts in itertools.product(order, repeat=k):
+            # the least tuple of its orbit, in the product order of rank
+            key = [rank[e] for e in pts]
+            if all([rank[pi[e]] for e in pts] >= key for pi in autos):
+                yield (C.with_points(pts) if k else C), pts, runs
+
+
+# ---------------------------------------------------------------------------
 # Duality verification
 # ---------------------------------------------------------------------------
 
@@ -318,9 +340,8 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     absence is a certain "no" only after a fixpoint, and the verdict is
     unknown otherwise.  In the ABox category every frontier member, dual
     and unpointed instance is chased once, and each chase serves as a
-    morphism target and as a certificate source.  When every chase read
-    terminates, only class representatives and the least point tuple of
-    each orbit are checked.
+    morphism target and as a certificate source.  The pointed instances
+    come from ``_checked``.
     """
     duals = list(D)
     if category is None:
@@ -337,69 +358,49 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         probe = (F or duals)[0]
         schema = probe.schema
         k = len(probe.points)
-    filt = sigma if (sigma is not None and category == "relative") else None
-    P_sigma = None
-    if category == "abox":
-        if sigma is None:
-            raise OracleError("the abox category needs a dependency set")
-        P_sigma = tgd_compile(tuple(sigma), schema)
+    if category == "abox" and sigma is None:
+        raise OracleError("the abox category needs a dependency set")
+    P_sigma = tgd_compile(tuple(sigma), schema) if sigma is not None and \
+        category in ("relative", "abox") else None
+    abox = P_sigma if category == "abox" else None
 
     def side(X: Instance) -> tuple:
-        return X, None if P_sigma is None else _abox_chase(P_sigma, X)
+        return X, None if abox is None else _abox_chase(abox, X)
 
     F_sides = [] if generator else [side(A) for A in F]
     D_sides = [side(d) for d in duals]
-    up_to_iso = (not generator or F[0].terminates) and \
-        (P_sigma is None or P_sigma.terminates)
-    for C, autos in _class_representatives(schema, B, filt, up_to_iso):
-        if k and not C.domain:
-            continue  # no point tuples
+    for Cp, pts, runs in _checked(
+            schema, B, k, (F[0],) if generator else (), abox,
+            P_sigma if category == "relative" else None):
+        C_side = (adom_instance(Cp), None) if abox is None else \
+            (Cp, runs[-1])
         if generator:
-            res = run_program(F[0], C, budget=PROGRAM_ROUNDS)
-            derived = res.output.facts
-        if P_sigma is not None:
-            C_chase = _abox_chase(P_sigma, C)
-        order = C.sorted_domain()
-        rank = {e: i for i, e in enumerate(order)}
-        for pts in itertools.product(order, repeat=k):
-            if not _least_in_orbit(pts, autos, rank):
-                continue
-            Cp = C.with_points(pts) if k else C
-            C_side = (adom_instance(Cp), None) if P_sigma is None else \
-                (Cp, C_chase)
-            if generator:
-                # a miss in a chase prefix decides nothing
-                fin = "yes" if (F[1], pts) in derived else (
-                    "no" if res.terminated else "unknown")
-            else:
-                fin = _some_map([(A, C_side) for A in F_sides], P_sigma)
-            din = _some_map([(C_side, d) for d in D_sides], P_sigma)
-            if "unknown" in (fin, din):
-                expl = (f"{fact_ser((F[1], pts))} is not derived in "
-                        f"{PROGRAM_ROUNDS} chase rounds and the chase has "
-                        "not terminated"
-                        if generator and fin == "unknown" else
-                        "bounded chase could not decide a morphism for "
-                        "this instance")
-                return Verdict(False, B, Cp, unknown=True,
-                               explanation=f"unknown: {expl}")
-            if fin == din:
-                side = ("in both the frontier's and the duals' closure"
-                        if fin == "yes" else "in neither closure")
-                return Verdict(False, B, Cp,
-                               explanation=f"instance is {side}")
+            out, terminated = runs[0]
+            # a miss in a chase prefix decides nothing
+            fin = "yes" if (F[1], pts) in out.facts else (
+                "no" if terminated else "unknown")
+        else:
+            fin = _some_map([(A, C_side) for A in F_sides], abox)
+        din = _some_map([(C_side, d) for d in D_sides], abox)
+        if "unknown" in (fin, din):
+            expl = (f"{fact_ser((F[1], pts))} is not derived in "
+                    f"{PROGRAM_ROUNDS} chase rounds and the chase has "
+                    "not terminated"
+                    if generator and fin == "unknown" else
+                    "bounded chase could not decide a morphism for "
+                    "this instance")
+            return Verdict(False, B, Cp, unknown=True,
+                           explanation=f"unknown: {expl}")
+        if fin == din:
+            side = ("in both the frontier's and the duals' closure"
+                    if fin == "yes" else "in neither closure")
+            return Verdict(False, B, Cp, explanation=f"instance is {side}")
     return Verdict(True, B)
 
 
 # ---------------------------------------------------------------------------
 # Adjoint verification
 # ---------------------------------------------------------------------------
-
-
-def _program_output(P: Program, I: Instance, budget: int):
-    """(output instance restricted to its active domain, stable?)"""
-    res = run_program(P, I, budget=budget)
-    return adom_instance(res.output), res.terminated
 
 
 def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
@@ -412,12 +413,11 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
     prefix of ``PROGRAM_ROUNDS`` rounds.  A prefix that does not map into
     J is a certain "no", as the output only grows.  A prefix that maps
     into J is not a certain "yes": it is accepted when one more round
-    still maps, and the verdict is unknown otherwise.  When P's chases
-    terminate, only class representatives are checked.
+    still maps, and the verdict is unknown otherwise.  The instances come
+    from ``_checked``.
     """
     members = list(result.members)
-    for I, _ in _class_representatives(P.s_in, B, up_to_iso=P.terminates):
-        out, stable = _program_output(P, I, PROGRAM_ROUNDS)
+    for I, _, ((out, stable),) in _checked(P.s_in, B, 0, (P,)):
         lhs = find_homomorphism(out, J) is not None
         if lhs and not stable:
             # heuristic "yes": certifying it needs a finite model of P
@@ -472,24 +472,21 @@ def programs_equivalent_bounded(P1: Program, P2: Program,
                                 B: int = 3) -> Verdict:
     """Check that both programs produce homomorphically equivalent outputs
     (fixing the input's active domain) on every input with at most B
-    elements.  Each program is chased once per input; a chase that did
-    not terminate within ``PROGRAM_ROUNDS`` rounds leaves only a prefix of
-    the output, which certifies nothing, so the verdict is unknown."""
+    elements.  Each program is chased once per input from ``_checked``; a
+    chase that did not terminate within ``PROGRAM_ROUNDS`` rounds leaves
+    only a prefix of the output, which certifies nothing, so the verdict
+    is unknown."""
     if P1.s_in.relations != P2.s_in.relations or \
             P1.s_out.relations != P2.s_out.relations:
         raise OracleError("programs have different input or output schemas")
-    for I in enumerate_instances(P1.s_in, B):
-        outs = []
-        for P in (P1, P2):
-            out, terminated = _program_output(P, I, PROGRAM_ROUNDS)
-            if not terminated:
-                return Verdict(False, B, I, unknown=True,
-                               explanation="unknown: bounded chase did not "
-                                           "terminate for this instance")
-            outs.append(out)
+    for I, _, outs in _checked(P1.s_in, B, 0, (P1, P2)):
+        if not all(terminated for _, terminated in outs):
+            return Verdict(False, B, I, unknown=True,
+                           explanation="unknown: bounded chase did not "
+                                       "terminate for this instance")
         fixed = sorted(set(I.active_domain))
         o1, o2 = (Instance(P1.s_out, set(o.domain) | set(fixed), o.facts)
-                  for o in outs)
+                  for o, _ in outs)
         if find_homomorphism(o1, o2, fixed=fixed) is None or \
                 find_homomorphism(o2, o1, fixed=fixed) is None:
             return Verdict(False, B, I,

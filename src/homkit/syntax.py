@@ -44,6 +44,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+# nesting levels (pair elements, term nodes) a recursive reader enters
+# before it stops with a ParseError, well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Tokens:
     """The tokens of a text as (kind, value, offset) triples.  An offset
     becomes a line and column only in an error message."""
@@ -59,6 +64,7 @@ class _Tokens:
                                  *self.where(pos))
         self.i = 0
         self.end = ("eof", "", len(text))
+        self.depth = 0
 
     def where(self, pos: int) -> tuple[int, int]:
         """The line and column of an offset."""
@@ -98,6 +104,16 @@ class _Tokens:
         nxt = self.peek()
         return nxt[0] == "eof" or \
             self.text.find("\n", pos + len(value), nxt[2]) >= 0
+
+    def enter(self, tok):
+        """Open one more nesting level at ``tok``; the reader leaves it
+        with ``leave``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+
+    def leave(self):
+        self.depth -= 1
 
     def error(self, message: str, tok=None):
         raise ParseError(message, *self.where((tok or self.peek())[2]))
@@ -159,12 +175,15 @@ def _parse_element(toks: _Tokens) -> Element:
     tok = toks.accept("ident")
     if tok:
         return Element.named(tok[1])
-    if toks.accept("sym", "("):
+    tok = toks.accept("sym", "(")
+    if tok:
+        toks.enter(tok)
         base = _parse_element(toks)
         toks.expect("sym", "|")
         toks.expect("sym", "{")
         facts = _comma_list(toks, _parse_pair_fact, "}")
         toks.expect("sym", ")")
+        toks.leave()
         return Element.pair(base, facts)
     toks.error("expected an element")
 

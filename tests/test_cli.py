@@ -346,6 +346,17 @@ def test_malformed_automaton_exits_2(capsys, tmp_path, old, new):
     assert err.startswith("error: line ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("term,where", [
+    ("E@3({},{})", "line 1, column 3"),
+    ("E@1(" * 1000 + "{}" + ")" * 1000, "line 1, column 404")],
+    ids=["root-index", "deep"])
+def test_malformed_term_exits_2(files, capsys, term, where):
+    assert main(["automaton", "run", str(files / "edge.aut"),
+                 "--term", term]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
 def test_conflicting_arities_exit_2(files, capsys, tmp_path):
     (tmp_path / "bad.inst").write_text("instance over E/1, E/2\nE(a,b).\n")
     (tmp_path / "bad.dl").write_text(

@@ -1,8 +1,9 @@
 """Every name a homkit module imports is used somewhere in that module,
 every parameter of a homkit function is read in its body, every private
 module-level function is named outside its own definition, the oracle
-imports none of the constructions it checks, and only the tokenizer's
-module imports ``re``."""
+imports none of the constructions it checks, only the tokenizer's module
+imports ``re``, and in the oracle only the bounded loop reads the instance
+enumeration."""
 
 import ast
 import pathlib
@@ -93,6 +94,34 @@ def test_only_syntax_imports_re():
     importers = {path.name for path in sorted(SRC.glob("*.py"))
                  if "re" in _top_level_imports(path.read_text())}
     assert importers == {"syntax.py"}
+
+
+def _users(source: str, name: str) -> set:
+    """The top-level statements of a source file that name ``name``, by
+    their own name (``<module>`` for a statement without one)."""
+    return {getattr(stmt, "name", "<module>")
+            for stmt in ast.parse(source).body
+            if any(getattr(n, "id", getattr(n, "attr", None)) == name
+                   for n in ast.walk(stmt)
+                   if isinstance(n, (ast.Name, ast.Attribute)))}
+
+
+def test_user_detector():
+    source = ("def f():\n    return g(1)\n"
+              "def h():\n    return [m.g]\n"
+              "def g():\n    return 0\n"
+              "class K:\n    def k(self):\n        return g\n"
+              "x = g()\n")
+    assert _users(source, "g") == {"f", "h", "K", "<module>"}
+
+
+def test_only_the_bounded_loop_reads_the_enumeration():
+    # one loop for the bounded checks: every verdict reads its instances
+    # from oracle._checked, so a hand-rolled fourth loop fails here
+    source = (SRC / "oracle.py").read_text()
+    assert _users(source, "_class_representatives") == {"_checked"}
+    assert _users(source, "enumerate_instances") == \
+        {"_class_representatives"}
 
 
 def _unread_parameters(source: str) -> list:

@@ -9,8 +9,10 @@ from conftest import (
     digraph,
     make_nonterminating_program,
     make_path_program,
+    make_sigma1_rewrite,
     make_slow_answer_program,
     make_tc_program,
+    sigma1,
     sigma2,
 )
 from homkit import oracle
@@ -18,7 +20,7 @@ from homkit import chase
 from homkit.adjoint import sl_adjoint
 from homkit.chase import chase_theory
 from homkit.core import Element, Instance, Schema, find_homomorphism
-from homkit.duality import abox_dual, dual_from_program
+from homkit.duality import abox_dual, dual_from_program, dual_wrt_theory
 from homkit.oracle import (
     OracleError,
     Verdict,
@@ -176,18 +178,24 @@ def test_equivalence_chases_each_program_once_per_instance(monkeypatch,
     real = oracle.run_program
 
     def counted(P, I, *args, **kwargs):
-        calls.append(P)
+        calls.append((P, I))
         return real(P, I, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "run_program", counted)
+    # both programs terminate: one chase per program and isomorphism class
+    # (13 digraph classes on at most 2 elements)
     assert programs_equivalent_bounded(tc_program, tc_program, B=2).passed
-    assert calls == [tc_program] * (2 * count_instances(E, 2))
-    # an unfinished chase ends the check at once, without a second chase
+    reps = [C for C, _ in oracle._class_representatives(E, 2)]
+    assert len(reps) == 13
+    assert calls == [(tc_program, I) for I in reps for _ in range(2)]
+    # a non-terminating program reads every labeled instance, each chased
+    # once per program, and an unfinished chase ends the check there
     calls.clear()
     P1, P2 = make_slow_answer_program(False), make_slow_answer_program(True)
     v = programs_equivalent_bounded(P1, P2, B=2)
-    before = list(enumerate_instances(E, 2)).index(v.counterexample)
-    assert calls == [P1, P2] * before + [P1]
+    labeled = list(enumerate_instances(E, 2))
+    before = labeled.index(v.counterexample)
+    assert calls == [(P, I) for I in labeled[:before + 1] for P in (P1, P2)]
 
 
 def _count_chases(monkeypatch) -> list:
@@ -207,6 +215,25 @@ def test_duality_chases_one_instance_per_class(monkeypatch):
     calls = _count_chases(monkeypatch)
     assert verify_duality(d.generator, d.duals, 3).passed
     assert len(calls) == 117
+
+
+def test_relative_duality_filters_one_instance_per_class(monkeypatch):
+    # the model filter is one chase through the dependency set, run on
+    # the 117 digraph classes on at most 3 elements, not on 531 instances
+    sigma = sigma1("E")
+    d = dual_wrt_theory(sigma, [digraph([("a", "b"), ("b", "c")])],
+                        adjoint_program=make_sigma1_rewrite("E"))
+    calls = []
+    real = oracle.chase_theory
+
+    def counted(P_sigma, A, *args, **kwargs):
+        calls.append(A)
+        return real(P_sigma, A, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "chase_theory", counted)
+    assert verify_duality(d.frontier, d.duals, 3, sigma=sigma,
+                          category="relative").passed
+    assert len(calls) == len(set(calls)) == 117
 
 
 def test_nonterminating_generator_chases_every_labeled_instance(

@@ -3,8 +3,10 @@ unpointed instance once for all its point tuples and checks one instance
 per isomorphism class and one point tuple per orbit, agrees exactly with
 the per-tuple loop over every labeled instance, kept below verbatim as the
 slow reference: same ``passed``, ``unknown``, explanation and
-counterexample, points included.  ``oracle.verify_adjoint`` is checked the
-same way against its labeled loop."""
+counterexample, points included.  ``oracle.verify_adjoint`` and
+``oracle.programs_equivalent_bounded`` are checked the same way against
+their labeled loops, and the model filter of the relative category reads
+every labeled instance here."""
 
 import itertools
 import random
@@ -22,7 +24,7 @@ from conftest import (
     sigma1,
     sigma2,
 )
-from homkit.chase import DEFAULT_BUDGET, run_program
+from homkit.chase import DEFAULT_BUDGET, chase_theory, run_program
 from homkit.adjoint import adjoint
 from homkit.core import (
     Instance,
@@ -40,7 +42,7 @@ from homkit.oracle import (
     abox_morphism,
     enumerate_instances,
 )
-from homkit.program import Atom, Program, Rule
+from homkit.program import Atom, Program, Rule, tgd_compile
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +50,41 @@ from homkit.program import Atom, Program, Rule
 # ---------------------------------------------------------------------------
 
 
+def _is_model(C: Instance, P_sigma: Program) -> bool:
+    """Does the chase of C add nothing new, up to homomorphic equivalence
+    fixing the active domain of C?  ``P_sigma`` terminates, and C is an
+    unpointed instance over its base schema."""
+    chased, _ = chase_theory(P_sigma, C)
+    fixed = sorted(set(C.active_domain))
+    chased = Instance(P_sigma.s_aux, set(chased.active_domain) | set(fixed),
+                      chased.facts)
+    return find_homomorphism(chased, C, fixed=fixed) is not None
+
+
+def enumerate_models(schema: Schema, max_domain: int,
+                     filter_sigma=None) -> Iterator[Instance]:
+    """Every labeled instance, or with ``filter_sigma`` only those the
+    dependency chase leaves unchanged up to hom-equivalence over the
+    active domain (requires terminating chases)."""
+    P_sigma = base = None
+    if filter_sigma is not None:
+        P_sigma = tgd_compile(tuple(filter_sigma), schema)
+        base = P_sigma.s_aux
+        if not P_sigma.terminates:
+            raise OracleError("instance filter requires a dependency set "
+                              "with terminating chases")
+    for C in enumerate_instances(schema, max_domain):
+        if P_sigma is not None and not _is_model(
+                C.with_schema(base) if base != schema else C, P_sigma):
+            continue
+        yield C
+
+
 def enumerate_pointed(schema: Schema, max_domain: int, k: int,
                       filter_sigma=None,
                       budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
     """Pointed variant: every instance with every k-tuple over its domain."""
-    for C in enumerate_instances(schema, max_domain, filter_sigma):
+    for C in enumerate_models(schema, max_domain, filter_sigma):
         if k == 0:
             yield C
             continue
@@ -221,6 +253,42 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Bounded program equivalence over every labeled instance
+# ---------------------------------------------------------------------------
+
+
+def programs_equivalent_bounded(P1: Program, P2: Program,
+                                B: int = 3) -> Verdict:
+    """Check that both programs produce homomorphically equivalent outputs
+    (fixing the input's active domain) on every input with at most B
+    elements.  Each program is chased once per input; a chase that did
+    not terminate within ``PROGRAM_ROUNDS`` rounds leaves only a prefix of
+    the output, which certifies nothing, so the verdict is unknown."""
+    if P1.s_in.relations != P2.s_in.relations or \
+            P1.s_out.relations != P2.s_out.relations:
+        raise OracleError("programs have different input or output schemas")
+    for I in enumerate_instances(P1.s_in, B):
+        outs = []
+        for P in (P1, P2):
+            out, terminated = _program_output(P, I, PROGRAM_ROUNDS)
+            if not terminated:
+                return Verdict(False, B, I, unknown=True,
+                               explanation="unknown: bounded chase did not "
+                                           "terminate for this instance")
+            outs.append(out)
+        fixed = sorted(set(I.active_domain))
+        o1, o2 = (Instance(P1.s_out, set(o.domain) | set(fixed), o.facts)
+                  for o in outs)
+        if find_homomorphism(o1, o2, fixed=fixed) is None or \
+                find_homomorphism(o2, o1, fixed=fixed) is None:
+            return Verdict(False, B, I,
+                           explanation="outputs are not homomorphically "
+                                       "equivalent over the input's "
+                                       "active domain")
+    return Verdict(True, B)
+
+
+# ---------------------------------------------------------------------------
 # Cases
 # ---------------------------------------------------------------------------
 
@@ -379,3 +447,51 @@ def test_adjoint_verdicts_match_labeled_reference():
     assert any(v.passed for v in verdicts)
     assert {v.bound for v in verdicts if not v.passed} == {2, 3}
     assert len({v.explanation for v in verdicts if not v.passed}) == 3
+
+
+def _random_program(rng, unbounded: bool = False) -> Program:
+    """One to three seeded rules over E/2, the aux T/2 and the output
+    Ans/1, each with one or two body atoms; with ``unbounded``, also
+    T(y,w) :- T(x,y) for an existential w, which is not weakly acyclic."""
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        body = tuple(Atom(rng.choice("ET"), tuple(rng.sample("xyz", 2)))
+                     for _ in range(rng.randint(1, 2)))
+        seen = sorted({v for a in body for v in a.args})
+        head = Atom("Ans", (rng.choice(seen),)) if rng.random() < 0.5 \
+            else Atom("T", (rng.choice(seen), rng.choice(seen)))
+        rules.append(Rule((head,), body))
+    rules.append(Rule((Atom("Ans", ("x",)),), (Atom("T", ("x", "y")),)))
+    if unbounded:
+        rules.append(Rule((Atom("T", ("y", "w")),),
+                          (Atom("T", ("x", "y")),), ("w",)))
+    return Program(E, Schema([("Ans", 1)]), Schema([("T", 2)]), rules)
+
+
+def _weakened(P: Program) -> Program:
+    """P with one more rule that another rule subsumes: an equivalent
+    program that is not the same program."""
+    rule = P.rules[0]
+    extra = Rule(rule.head_atoms,
+                 rule.body_atoms + (Atom("E", ("x", "x")),))
+    return Program(P.s_in, P.s_out, P.s_aux, list(P.rules) + [extra])
+
+
+def test_equivalence_verdicts_match_labeled_reference():
+    rng = random.Random(2111)
+    pairs = []
+    for _ in range(6):
+        P = _random_program(rng)
+        pairs += [(P, _weakened(P)), (P, _random_program(rng)),
+                  (_random_program(rng, unbounded=True), P)]
+    verdicts = []
+    for P1, P2 in pairs:
+        for B in (2, 3):
+            got = oracle.programs_equivalent_bounded(P1, P2, B)
+            want = programs_equivalent_bounded(P1, P2, B)
+            assert _summary(got) == _summary(want), (P1, P2, B)
+            verdicts.append(got)
+    # passing, failing and unknown verdicts all occur
+    assert any(v.passed for v in verdicts)
+    assert any(not v.passed and not v.unknown for v in verdicts)
+    assert any(v.unknown for v in verdicts)

@@ -11,6 +11,7 @@ from homkit.automata import leaf, node
 from homkit.core import Element, HomkitError, Instance, Schema
 from homkit.program import Atom
 from homkit.syntax import (
+    MAX_NESTING,
     ParseError,
     dumps,
     instance_json,
@@ -139,9 +140,36 @@ def test_term_round_trip():
     for text, message in [
             ("E@1({X1}", "line 1, column 9: expected \\)"),
             ("E@1({},{}){}", "line 1, column 11: trailing text"),
-            ("E@x({})", "line 1, column 3: expected root index")]:
+            ("E@x({})", "line 1, column 3: expected root index"),
+            ("E@3({},{})", "line 1, column 3: root index 3 out of range "
+                           "1\\.\\.2"),
+            ("E@2({},E@0({}))", "line 1, column 10: root index 0 out")]:
         with pytest.raises(ParseError, match=message):
             parse_term(text)
+
+
+def test_deep_nesting_raises_parse_errors():
+    # the recursive readers stop at MAX_NESTING levels, at the token that
+    # opens the level past it, instead of running out of stack
+    depth = MAX_NESTING + 1
+    term = "E@1(" * 1000 + "{}" + ")" * 1000
+    with pytest.raises(ParseError, match=f"line 1, column {4 * depth}: "
+                                         "nesting deeper than 100 levels"):
+        parse_term(term)
+    inner = "b"
+    for _ in range(400):
+        inner = f"(b|{{E({inner})}})"
+    with pytest.raises(ParseError, match=f"line 2, column {6 * depth - 3}: "
+                                         "nesting deeper"):
+        parse_instance(f"instance over R/1\nR({inner}).\n")
+    # MAX_NESTING levels still read, and print back as they were read
+    term = "E@1(" * MAX_NESTING + "{}" + ")" * MAX_NESTING
+    assert str(parse_term(term)) == term
+    inner = "b"
+    for _ in range(MAX_NESTING):
+        inner = f"(b|{{E({inner})}})"
+    text = f"instance over R/1\ndomain: {inner}\nR({inner}).\n"
+    assert print_instance(parse_instance(text)) == text
 
 
 def test_json_rendering_stable():
