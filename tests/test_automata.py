@@ -1,6 +1,8 @@
 """Tree-terms, automata, their algebra, and Datalog compilation."""
 
+import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
@@ -109,6 +111,23 @@ def test_enumerate_terms_builds_checked_equal_nodes_at_depth_3():
             rebuilt = node(t.rel, t.index, t.children)
             assert t == rebuilt and hash(t) == hash(rebuilt)
     assert count == 81_610
+
+
+def test_unchecked_nodes_behave_as_checked_ones():
+    # _node fills the instance __dict__ directly; every term must still
+    # look, hash, print and pickle as a checked build, and stay frozen
+    terms = list(enumerate_terms(Schema([("E", 2), ("U", 1)]),
+                                 ("X1", "X2"), 2))
+    assert len(terms) == 3_244
+    for t in terms:
+        copy = leaf(t.labels) if t.op == "leaf" else \
+            node(t.rel, t.index, t.children)
+        assert t == copy and hash(t) == hash(copy)
+        assert str(t) == str(copy)
+        assert list(vars(t).items()) == list(vars(copy).items())
+        assert pickle.loads(pickle.dumps(t)) == t
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.index = 1
 
 
 def test_enumerate_terms_keeps_no_deepest_level():

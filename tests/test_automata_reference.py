@@ -1,9 +1,9 @@
-"""Differential test: ``automata.accepted_cover``, which computes each
-term's state set once from its kids' sets and builds no tree for a term
-with an accepted or covered kid, and ``automata.run_states`` agree exactly
-with the versions kept in ``automata_reference.py``.  Covers must be equal
-``repr`` for ``repr`` and in order; state sets must be equal on every
-enumerated term."""
+"""Differential test: ``automata.accepted_cover``, which computes the state
+sets of every root index of a kid tuple once from its kids' sets and
+builds no tree for a term with an accepted or covered kid, and
+``automata.run_states`` agree exactly with the versions kept in
+``automata_reference.py``.  Covers must be equal ``repr`` for ``repr`` and
+in order; state sets must be equal on every enumerated term."""
 
 import itertools
 import random
@@ -26,6 +26,7 @@ from homkit.core import Schema
 
 BINARY = Schema([("E", 2)])
 UNARY = Schema([("F", 1), ("G", 1)])
+MIXED = Schema([("E", 2), ("F", 1)])
 
 
 def _random_automaton(rng, schema: Schema, labels: tuple) -> TreeAutomaton:
@@ -75,3 +76,18 @@ def test_random_automata_over_unary_relations():
     rng = random.Random(1302)
     for _ in range(200):
         _assert_same(_random_automaton(rng, UNARY, ("X1", "X2")), 3)
+
+
+def test_random_automata_over_mixed_arities():
+    # terms of two relations and two arities reach the per-kid-tuple step
+    # memo one after another
+    rng = random.Random(2301)
+    for _ in range(100):
+        _assert_same(_random_automaton(rng, MIXED, ("X1",)), 2)
+
+
+def test_empty_automaton_at_depth_3():
+    # the benchmark's depth; the label and edge automata take several
+    # seconds each in the reference there
+    A = make_empty_automaton()
+    assert accepted_cover(A, 3) == ref.accepted_cover(A, 3) == []
