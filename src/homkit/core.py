@@ -20,15 +20,18 @@ sorted domain, with each level's candidates an int bitmask.  A source fact
 is tested by forward checking (Haralick and Elliott, 1980): once all but
 its last level are assigned, it narrows that level's candidates to its
 support in the target, read from support tables kept on the target
-instance.  Narrowing removes only candidates with no completion, so the
-order above is unchanged.
+instance.  Interchangeable target elements are pruned as well (Freuder,
+AAAI 1991): when a candidate has no completion, neither has a twin of it,
+an element whose swap with it is an automorphism of the target, unless
+one of the two is already an earlier image.  Both kinds of pruning remove
+only candidates with no completion, so the order above is unchanged.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -270,6 +273,12 @@ class Instance:
             frozenset(f for f in self.facts if f[0] in keep), self.points)
 
     def with_schema(self, schema: Schema) -> "Instance":
+        """The same instance over ``schema``, which must have every fact's
+        relation with its arity; checked per relation when ``schema`` keeps
+        all of this instance's relations, else per fact."""
+        if set(self.schema.relations).issubset(schema.relations):
+            return Instance._trusted(schema, self.domain, self.facts,
+                                     self.points)
         return Instance(schema, self.domain, self.facts, self.points)
 
     def rename_relations(self, mapping: dict[str, str]) -> "Instance":
@@ -395,8 +404,19 @@ def iter_homomorphisms(
     candidates; any other fact, with last level j, narrows level j's
     candidates to its support in B as soon as its second-to-last level is
     assigned, and an empty candidate set rejects that assignment at once.
-    The narrowings of a level are undone when it moves on.  Only
-    candidates that no homomorphism extends are ever removed, so the
+    The narrowings of a level are undone when it moves on.
+
+    When level i's candidate c yields no result, level i also drops its
+    untried twins c' of c (see ``_Target.twins``), provided neither c nor
+    c' is the image of an earlier level.  The swap s of c and c' is an
+    automorphism of B that fixes every earlier image, so s after h
+    extends the prefix with c for any h that extends it with c': c' has
+    no completion either.  Pre-assigned elements come first, so their
+    images are always earlier images.  Twins are found the first time the
+    search backs up a level; before that a failed candidate has cost one
+    node, which is all its twins would cost.
+
+    Only candidates that no homomorphism extends are ever removed, so the
     sequence of results is that of the plain search that tests each fact
     once its last element is assigned.
     """
@@ -415,7 +435,8 @@ def iter_homomorphisms(
             return
     order = sorted(pre) + [e for e in A.sorted_domain() if e not in pre]
     level = {e: i for i, e in enumerate(order)}
-    b_elems, b_code, supports = _target_index(B)
+    target = _target_index(B)
+    b_elems, b_code = target.elems, target.code
     every = (1 << len(b_elems)) - 1
     dom = [1 << b_code[pre[e]] for e in order[:len(pre)]]
     dom += [every] * (len(order) - len(pre))
@@ -438,7 +459,7 @@ def iter_homomorphisms(
         idx = [level[a] for a in args]
         j = max(idx)
         # the positions of level j are the ones marked True
-        table = supports[rel, tuple(map(j.__eq__, idx))]
+        table = target[rel, tuple(map(j.__eq__, idx))]
         others = [k for k in idx if k != j]
         if others:
             narrow[max(others)].append((j, itemgetter(*others), table))
@@ -453,8 +474,12 @@ def iter_homomorphisms(
     last = len(order) - 1
     image = [0] * len(order)
     rest = [0] * len(order)  # the candidates level i has yet to try
+    prior = [0] * len(order)  # the images of levels 0..i-1, as a bitmask
     trail: list[list] = [[] for _ in order]  # (level, domain before)
-    used = 0  # in iso mode: the images of levels 0..i-1
+    found = 0  # the results yielded so far
+    # tried[i]: ``found`` when level i chose image[i]; -1 for none yet
+    tried = [-1] * len(order)
+    twins = None  # target.twins(), read once a level is exhausted
     rest[0] = dom[0]
     i = 0
     while i >= 0:
@@ -463,14 +488,20 @@ def iter_homomorphisms(
             j, old = undo.pop()
             dom[j] = old
         cands = rest[i]
+        if cands and twins and tried[i] == found and \
+                not prior[i] >> image[i] & 1:
+            # image[i] has no completion, so no twin of it that is not
+            # an earlier image has one either
+            cands &= ~twins[image[i]] | prior[i]
         if not cands:
             i -= 1
-            if iso and i >= 0:
-                used ^= 1 << image[i]
+            if twins is None and i >= 0:
+                twins = target.twins()
             continue
         low = cands & -cands
         rest[i] = cands ^ low
         image[i] = low.bit_length() - 1
+        tried[i] = found
         for j, get, table in narrow[i]:
             old = dom[j]
             new = old & table.get(get(image), 0)
@@ -481,26 +512,28 @@ def iter_homomorphisms(
                     break
         else:
             if i == last:
+                found += 1
                 yield dict(zip(order, map(b_elems.__getitem__, image)))
             else:
-                if iso:
-                    used |= low
                 i += 1
-                rest[i] = dom[i] & ~used
+                prior[i] = seen = prior[i - 1] | low
+                tried[i] = -1
+                rest[i] = dom[i] & ~seen if iso else dom[i]
 
 
-def _target_index(B: Instance) -> tuple:
-    """B's sorted domain, the code (index) of each element in it, and B's
-    support tables; kept on B, which never changes."""
+def _target_index(B: Instance) -> "_Target":
+    """What the search reads of B, kept on B, which never changes."""
     if B._index is None:
-        elems = B.sorted_domain()
-        code = {e: c for c, e in enumerate(elems)}
-        B._index = (elems, code, _Supports(B.facts, code))
+        B._index = _Target(B)
     return B._index
 
 
-class _Supports(dict):
-    """Support tables of a target, each built on first use.
+class _Target(dict):
+    """A target as the search reads it: ``elems``, its sorted domain;
+    ``code``, the code (index) of each element in it; ``by_rel``, its
+    facts' code tuples by relation; its support tables, the entries of
+    this dict, each built on first use; and its twin classes, found on
+    first use.
 
     The table under ``(rel, pattern)``, where ``pattern`` marks some
     positions of ``rel`` True, is for one element repeated at the marked
@@ -510,28 +543,87 @@ class _Supports(dict):
     elements and e at every marked position.
     """
 
-    __slots__ = ("facts", "code")
+    __slots__ = ("elems", "code", "by_rel", "_twins")
 
-    def __init__(self, facts, code):
+    def __init__(self, B: Instance):
         super().__init__()
-        self.facts, self.code = facts, code
+        self.elems = B.sorted_domain()
+        self.code = code = {e: c for c, e in enumerate(self.elems)}
+        self.by_rel: dict[str, list] = {}
+        for rel, args in B.facts:
+            self.by_rel.setdefault(rel, []).append(
+                tuple(map(code.__getitem__, args)))
+        self._twins = None
 
     def __missing__(self, key):
         rel, pattern = key
-        others = [not at for at in pattern]
-        code, table = self.code, {}
-        for r, args in self.facts:
-            if r != rel:
-                continue
-            codes = [code[a] for a in args]
-            at = set(compress(codes, pattern))
-            if len(at) == 1:
-                sub = tuple(compress(codes, others))
-                if len(sub) == 1:
-                    sub = sub[0]
-                table[sub] = table.get(sub, 0) | 1 << at.pop()
+        marked = [k for k, at in enumerate(pattern) if at]
+        others = [k for k, at in enumerate(pattern) if not at]
+        # the other positions' codes: an int, a tuple, or codes[0:0] = ()
+        sub_of = itemgetter(*others) if others else itemgetter(slice(0, 0))
+        table: dict = {}
+        if len(marked) == 1:
+            k = marked[0]
+            for codes in self.by_rel.get(rel, ()):
+                sub = sub_of(codes)
+                table[sub] = table.get(sub, 0) | 1 << codes[k]
+        else:
+            at_of = itemgetter(*marked)
+            for codes in self.by_rel.get(rel, ()):
+                at = set(at_of(codes))
+                if len(at) == 1:
+                    sub = sub_of(codes)
+                    table[sub] = table.get(sub, 0) | 1 << at.pop()
         self[key] = table
         return table
+
+    def twins(self) -> list[int]:
+        """For each code, the bitmask of its twins: the elements whose
+        swap with it is an automorphism of the target (itself included).
+
+        Two elements that share no fact are twins iff the facts each
+        occurs in, with it replaced by a marker, are the same set; those
+        sets are hashed.  A pair that shares a fact is checked by swapping
+        it.  Twins are an equivalence, since transpositions compose:
+        (a b)(b c)(a b) = (a c).  So the pairs found are joined into
+        classes by union-find.
+        """
+        if self._twins is not None:
+            return self._twins
+        n = len(self.elems)
+        # seen[c]: the facts c occurs in, each with c replaced by -1
+        seen: list[list] = [[] for _ in range(n)]
+        shared = set()  # the pairs (c, d), c < d, that share a fact
+        for rel, facts in self.by_rel.items():
+            for codes in facts:
+                distinct = set(codes)
+                for c in distinct:
+                    seen[c].append(
+                        (rel, tuple([-1 if x == c else x for x in codes])))
+                if len(distinct) > 1:
+                    shared.update(combinations(sorted(distinct), 2))
+        classes = _UnionFind()
+        first: dict[frozenset, int] = {}
+        for c, found in enumerate(seen):
+            classes.union(first.setdefault(frozenset(found), c), c)
+        for c, d in shared:
+            if len(seen[c]) == len(seen[d]) and \
+                    _swapped(seen[c], d) == _swapped(seen[d], c):
+                classes.union(c, d)
+        masks = [0] * n
+        for c in range(n):
+            masks[classes.find(c)] |= 1 << c
+        self._twins = [masks[classes.find(c)] for c in range(n)]
+        return self._twins
+
+
+def _swapped(found: list, d: int) -> set:
+    """The facts in ``found`` (one element's facts, with it replaced by
+    -1) with d replaced by -2.  Elements c and d with equally many facts
+    are twins iff ``_swapped(seen[c], d) == _swapped(seen[d], c)``: their
+    swap then maps c's facts onto d's, and so d's onto c's."""
+    return {(rel, tuple([-2 if x == d else x for x in codes]))
+            for rel, codes in found}
 
 
 def _occurrences(inst: Instance) -> dict:

@@ -113,9 +113,11 @@ def test_instance_rejects_bad_facts():
 
 
 def test_unchecked_derived_instances_match_the_validated_build():
-    """with_points, reduct and adom_instance build without rechecking the
-    facts: each must equal the validated build, and a point outside the
-    domain is still rejected."""
+    """with_points, reduct, adom_instance and with_schema (into a schema
+    keeping every relation) build without rechecking the facts: each must
+    equal the validated build, a point outside the domain is still
+    rejected, and so is a schema that drops a fact's relation or changes
+    its arity."""
     rng = random.Random(17)
     schema = Schema([("E", 2), ("U", 1), ("Z", 0)])
     for _ in range(200):
@@ -135,10 +137,20 @@ def test_unchecked_derived_instances_match_the_validated_build():
         keep = {e for _, args in facts for e in args} | set(points)
         assert adom_instance(pointed) == Instance(schema, keep, facts,
                                                   points)
+        wider = schema.union(Schema([("W", 3)]))
+        assert pointed.with_schema(wider) == Instance(wider, elems, facts,
+                                                      points)
     a = Element.named("a")
     inst = Instance(schema, [a], [("E", (a, a))])
     with pytest.raises(HomkitError, match="point b not in domain"):
         inst.with_points((a, Element.named("b")))
+    with pytest.raises(SchemaMismatch, match="fact relation E not in"):
+        inst.with_schema(Schema([("U", 1)]))
+    with pytest.raises(SchemaMismatch, match="does not match arity"):
+        inst.with_schema(Schema([("E", 3), ("U", 1)]))
+    # a relation with no facts may be dropped
+    edge = Schema([("E", 2)])
+    assert inst.with_schema(edge) == Instance(edge, [a], [("E", (a, a))])
 
 
 def test_hom_path_to_loop():

@@ -13,7 +13,10 @@ the same full sequence of maps on sources of up to 6 elements and targets of
 up to 4 over E/2, T/3, U/1 and Z/0 (loops and repeated arguments included,
 with fixed elements, bindings, points and in iso mode), and the same first
 witness on planted 3-colourable graphs and relabelled Mycielski graphs M4
-into K3.
+into K3.  Random targets rarely have twins (elements whose swap is an
+automorphism), which the search prunes on, so the full sequences are also
+compared on targets that have them; and the twin classes the search reads
+are compared with a check of every transposition.
 """
 
 import itertools
@@ -25,6 +28,7 @@ from homkit.core import (
     Element,
     Instance,
     Schema,
+    _target_index,
     core_of,
     find_homomorphism,
     isomorphic,
@@ -251,3 +255,156 @@ def test_colouring_witnesses_match_previous_search():
         expected = next(hom_reference.iter_homomorphisms(G, k3), None)
         assert next(iter_homomorphisms(G, k3), None) == expected
         assert (expected is None) == (len(G.domain) == 11)
+
+
+# -- targets with twins -------------------------------------------------------
+
+
+def twin_targets() -> list:
+    """Targets over WIDE with interchangeable elements: complete graphs,
+    a 4-cycle (non-adjacent twins), edgeless ones, a star, disjoint
+    copies, and mixed arity with repeated arguments and unary facts."""
+    a, b, c, d, e, _ = WIDE_POOL
+
+    def sym(pairs):
+        return [("E", p) for x, y in pairs for p in ((x, y), (y, x))]
+
+    specs = [
+        ([a, b], sym([(a, b)])),
+        ([a, b, c], sym(itertools.combinations([a, b, c], 2))),
+        ([a, b, c, d], sym(itertools.combinations([a, b, c, d], 2))),
+        ([a, b, c], sym(itertools.combinations([a, b, c], 2))
+         + [("E", (x, x)) for x in (a, b, c)]),
+        ([a, b, c, d], sym([(a, b), (b, c), (c, d), (d, a)])),
+        ([a], []),
+        ([a, b, c], []),
+        ([a, b, c], [("U", (x,)) for x in (a, b, c)] + [("Z", ())]),
+        ([a, b, c, d, e], sym([(a, x) for x in (b, c, d, e)])),
+        ([a, b, c, d], [("E", (a, b)), ("E", (c, d))]),
+        ([a, b, c], [("E", (x, x)) for x in (a, b, c)]),
+        ([a, b, c, d], sym([(a, b), (c, d)]) + [("U", (a,)), ("U", (c,))]),
+        ([a, b, c, d], [("T", (a, a, b)), ("T", (c, c, b)), ("T", (b, d, d)),
+                        ("U", (b,)), ("Z", ())]),
+        ([a, b, c], [("T", (a, b, b)), ("T", (b, a, a)), ("E", (c, c)),
+                     ("U", (a,)), ("U", (b,))]),
+    ]
+    return [Instance(WIDE, dom, facts) for dom, facts in specs]
+
+
+def brute_force_twins(B: Instance) -> list:
+    """For each element of B's sorted domain, the bitmask (bit k for the
+    k-th element) of the elements whose swap with it maps B's facts onto
+    themselves, trying every transposition."""
+    elems = B.sorted_domain()
+    masks = []
+    for x in elems:
+        mask = 0
+        for k, y in enumerate(elems):
+            swap = {x: y, y: x}
+            image = {(rel, tuple(swap.get(v, v) for v in args))
+                     for rel, args in B.facts}
+            if image == B.facts:
+                mask |= 1 << k
+        masks.append(mask)
+    return masks
+
+
+def test_sequences_match_previous_search_on_targets_with_twins():
+    rng = random.Random(18)
+    targets = twin_targets()
+    hits = 0
+    for _ in range(TRIALS):
+        B = rng.choice(targets)
+        k = rng.choice([0, 0, 1, 2])
+        A = wide_instance(rng, rng.randint(0, 6), k)
+        if rng.random() < 0.7:
+            # keep only relations B has facts of, so that more A map
+            rels = {rel for rel, _ in B.facts}
+            A = Instance(WIDE, A.domain,
+                         [f for f in A.facts if f[0] in rels], A.points)
+        if k and rng.random() < 0.7:
+            B = B.with_points(tuple(rng.choice(sorted(B.domain))
+                                    for _ in range(k)))
+        common = sorted(A.domain & B.domain)
+        fixed = [e for e in common if rng.random() < 0.3]
+        bindings = {}
+        if A.domain and rng.random() < 0.4:
+            bindings[rng.choice(sorted(A.domain))] = \
+                rng.choice(sorted(B.domain))
+        expected = list(hom_reference.iter_homomorphisms(A, B, fixed,
+                                                         bindings))
+        got = list(iter_homomorphisms(A, B, fixed, bindings))
+        assert got == expected, (A, B, fixed, bindings)
+        hits += bool(expected)
+    assert 0.1 * TRIALS < hits < 0.9 * TRIALS
+
+
+def test_colourings_match_previous_search():
+    """Loop-free graphs into K2-K4 and C4: colouring a vertex like an
+    earlier neighbour fails only deeper in the search, the case where a
+    twin of an earlier image must not be pruned."""
+    rng = random.Random(21)
+    k2, k3, k4, _, c4 = twin_targets()[:5]
+    targets = [k2, k3, k4, c4]
+    for _ in range(TRIALS // 3):
+        B = rng.choice(targets)
+        dom = sorted(rng.sample(WIDE_POOL, rng.randint(3, 6)))
+        edges = [p for p in itertools.combinations(dom, 2)
+                 if rng.random() < 0.5]
+        A = Instance(WIDE, dom, [("E", p) for x, y in edges
+                                 for p in ((x, y), (y, x))])
+        fixed = [e for e in sorted(A.domain & B.domain)
+                 if rng.random() < 0.2]
+        expected = list(hom_reference.iter_homomorphisms(A, B, fixed))
+        assert list(iter_homomorphisms(A, B, fixed)) == expected, (A, B)
+
+
+def test_isomorphism_sequences_match_previous_search_on_twins():
+    rng = random.Random(19)
+    positives = 0
+    for _ in range(TRIALS // 3):
+        B = rng.choice(twin_targets())
+        src = sorted(B.domain)
+        k = rng.choice([0, 1, 2])
+        B = B.with_points(tuple(rng.choice(src) for _ in range(k)))
+        if rng.random() < 0.6:
+            h = dict(zip(src, rng.sample(src, len(src))))
+            A = Instance(WIDE, B.domain,
+                         [(rel, tuple(h[a] for a in args))
+                          for rel, args in B.facts],
+                         tuple(h[p] for p in B.points))
+        else:
+            A = wide_instance(rng, len(src), k)
+        expected = list(hom_reference.iter_homomorphisms(A, B, iso=True))
+        assert list(iter_homomorphisms(A, B, iso=True)) == expected, (A, B)
+        positives += bool(expected)
+    assert 0.2 * TRIALS // 3 < positives < 0.9 * TRIALS // 3
+
+
+def test_twin_classes_match_transpositions():
+    rng = random.Random(20)
+    cases = twin_targets()
+    for n in range(1, 7):
+        # complete graphs with and without loops: every pair is adjacent
+        dom = WIDE_POOL[:n]
+        pairs = itertools.product(dom, repeat=2)
+        cases.append(Instance(WIDE, dom, [("E", p) for p in pairs]))
+        cases.append(Instance(WIDE, dom, [("E", (x, y)) for x in dom
+                                          for y in dom if x != y]))
+    for _ in range(TRIALS):
+        inst = wide_instance(rng, rng.randint(0, 6))
+        if len(inst.domain) > 1 and rng.random() < 0.6:
+            # closed under a random swap, which is then an automorphism
+            x, y = rng.sample(sorted(inst.domain), 2)
+            swap = {x: y, y: x}
+            facts = set(inst.facts) | {
+                (rel, tuple(swap.get(v, v) for v in args))
+                for rel, args in inst.facts}
+            inst = Instance(WIDE, inst.domain, facts)
+        cases.append(inst)
+    with_twins = 0
+    for B in cases:
+        got = _target_index(B).twins()
+        assert got == brute_force_twins(B), B
+        with_twins += any(mask & (mask - 1) for mask in got)
+    assert with_twins > len(cases) // 3
