@@ -382,10 +382,10 @@ def chase_theory(P_sigma: Program, A: Instance,
     """Chase an instance through a compiled dependency set.
 
     ``P_sigma`` comes from ``program.tgd_compile``, whose aux schema is the
-    base schema S.  A's relations are copied to their ``R_in`` inputs, the
-    program runs to its fixpoint (``run_program``) or, given ``rounds``,
-    for at most that many bounded rounds, and the ``R_out`` facts are
-    renamed back onto S.  Returns (the chase, with A's points; terminated).
+    base schema S.  A moves onto the input copies of S, the program runs
+    to its fixpoint (``run_program``) or, given ``rounds``, for at most
+    that many bounded rounds, and its output copies move back onto S.
+    Returns (the chase, with A's points; terminated).
     """
     I = instance_to_input(A.with_points(()), P_sigma)
     if rounds is None:

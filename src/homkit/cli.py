@@ -201,12 +201,21 @@ def cmd_adjoint(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_dualize(args) -> int:
     if bool(args.program) == bool(args.frontier) or \
             (args.program and not args.rel):
-        print("error: provide either --program with --rel, or --frontier",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("provide either --program with --rel, or "
+                            "--frontier")
+    if args.program and (args.theory or args.abox or args.adjoint_program):
+        return _usage_error("--theory, --abox and --adjoint-program apply "
+                            "to --frontier only")
+    if args.abox and not args.theory:
+        return _usage_error("--abox needs --theory")
     sigma = tuple(parse_tgds(_read(args.theory))) if args.theory else ()
     rewrite = _load_program(args.adjoint_program) \
         if args.adjoint_program else None
@@ -262,15 +271,14 @@ def cmd_dualize(args) -> int:
 def cmd_characterize(args) -> int:
     q_path = args.query or args.query_pos
     if not q_path or (args.query and args.query_pos):
-        print("error: provide exactly one query file", file=sys.stderr)
-        return EXIT_USAGE
-    if args.abox:
-        args.mode = "abox"
+        return _usage_error("provide exactly one query file")
+    if args.abox and args.mode == "model":
+        return _usage_error("--abox contradicts --mode model")
     q = parse_query(_read(q_path))
     sigma = tuple(parse_tgds(_read(args.theory))) if args.theory else ()
     rewrite = _load_program(args.adjoint_program) \
         if args.adjoint_program else None
-    if args.mode == "abox":
+    if args.abox or args.mode == "abox":
         ex = characterize_abox(q, sigma, adjoint_program=rewrite,
                                cap=args.cap)
     else:
@@ -363,7 +371,7 @@ def _emit_automaton(args, A: TreeAutomaton) -> int:
         "states": list(A.states),
         "text": text,
     }
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     _emit(args, payload, text)
@@ -523,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query file (alternative to --query)")
     p.add_argument("--query")
     p.add_argument("--theory")
-    p.add_argument("--mode", choices=("model", "abox"), default="model")
+    p.add_argument("--mode", choices=("model", "abox"),
+                   help="default: model")
     p.add_argument("--abox", action="store_true",
                    help="shorthand for --mode abox")
     p.add_argument("--adjoint-program",

@@ -282,20 +282,14 @@ class Instance:
         return Instance(schema, self.domain, self.facts, self.points)
 
     def rename_relations(self, mapping: dict[str, str]) -> "Instance":
+        """The same instance with relations renamed by ``mapping``;
+        unchecked, as a rename keeps every arity (``Schema`` raises when it
+        merges two relations of different arities)."""
         schema = Schema(
             [(mapping.get(r, r), a) for r, a in self.schema.relations]
         )
-        facts = [(mapping.get(r, r), args) for r, args in self.facts]
-        return Instance(schema, self.domain, facts, self.points)
-
-    def union(self, other: "Instance") -> "Instance":
-        schema = self.schema.union(other.schema)
-        return Instance(
-            schema,
-            self.domain | other.domain,
-            list(self.facts) + list(other.facts),
-            self.points,
-        )
+        facts = frozenset((mapping.get(r, r), args) for r, args in self.facts)
+        return Instance._trusted(schema, self.domain, facts, self.points)
 
     # -- equality / canonical form ----------------------------------------
 

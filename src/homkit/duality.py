@@ -17,7 +17,6 @@ not map into any dual.  Four constructions are provided:
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -38,6 +37,7 @@ from .program import (
     Atom,
     Program,
     Rule,
+    input_to_instance,
     instance_to_output,
     restrict_output,
     tgd_compile,
@@ -260,21 +260,21 @@ def _theory_duals(sigma, F_spec, adjoint_program, cap,
         raise DualityError("the adjoint program must share the dependency "
                            "program's input and output schemas")
 
-    fp = frontier_program(F_spec)
-    raw = [core_of(d) for d in
-           dual_from_program(fp, "Ans", cap=cap).duals]
-    raw = functools.reduce(_admit_dual,
-                           sorted(raw, key=lambda d: d.canonical_key()), [])
+    # dual_from_program's duals are an antichain under pointed
+    # homomorphism, and each core is hom-equivalent to its dual, so the
+    # cores are one too and none is dominated
+    raw = sorted((core_of(d) for d in
+                  dual_from_program(frontier_program(F_spec), "Ans",
+                                    cap=cap).duals),
+                 key=lambda d: d.canonical_key())
 
     duals = []
-    unrename = {f"{r}_in": r for r, _ in base.relations}
     for B in raw:
         b_points = B.points
         J = instance_to_output(B.with_points(()), Q)
         result = adjoint(Q, J, cap=cap)
         for j_prime, iota in result.members:
-            renamed = j_prime.rename_relations(unrename)
-            renamed = Instance(base, renamed.domain, renamed.facts)
+            renamed = input_to_instance(j_prime, base)
             pools = [
                 [e for e in sorted(renamed.domain) if iota.get(e) is b]
                 for b in b_points

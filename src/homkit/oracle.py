@@ -118,10 +118,9 @@ def _is_model(C: Instance, P_sigma: Program) -> bool:
     if C.schema != P_sigma.s_aux:
         C = C.with_schema(P_sigma.s_aux)
     chased, _ = chase_theory(P_sigma, C)
-    fixed = sorted(set(C.active_domain))
-    chased = Instance(P_sigma.s_aux, set(chased.active_domain) | set(fixed),
-                      chased.facts)
-    return find_homomorphism(chased, C, fixed=fixed) is not None
+    # the chase keeps C's facts, so its active domain holds C's
+    return find_homomorphism(adom_instance(chased), C,
+                             fixed=sorted(C.active_domain)) is not None
 
 
 def enumerate_instances(schema: Schema, max_domain: int) -> Iterator[Instance]:
@@ -330,9 +329,11 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     """Check the duality statement exhaustively at bound B.
 
     For every pointed (C, c) with at most B elements (dependency models
-    only when ``sigma`` is given in the model category), exactly one of
-    "some frontier member maps into (C, c)" and "(C, c) maps into some
-    dual" must hold.  ``F`` is a set of pointed instances or a
+    only in the relative category), exactly one of "some frontier member
+    maps into (C, c)" and "(C, c) maps into some dual" must hold.  The
+    relative and ABox categories need a dependency set ``sigma``, and the
+    plain one takes none; the category defaults to relative when ``sigma``
+    is given, else to plain.  ``F`` is a set of pointed instances or a
     (program, relation) generator; generator membership is decided by
     chase derivation of R(c), with one chase per unpointed instance shared
     by all its point tuples.  A chase that does not terminate is read for
@@ -346,6 +347,10 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     duals = list(D)
     if category is None:
         category = "plain" if sigma is None else "relative"
+    if (sigma is None) != (category == "plain"):
+        raise OracleError(f"the {category} category needs a dependency set"
+                          if sigma is None else
+                          "the plain category takes no dependency set")
     generator = isinstance(F, tuple) and bool(F) and \
         isinstance(F[0], Program)
     if generator:
@@ -358,10 +363,7 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         probe = (F or duals)[0]
         schema = probe.schema
         k = len(probe.points)
-    if category == "abox" and sigma is None:
-        raise OracleError("the abox category needs a dependency set")
-    P_sigma = tgd_compile(tuple(sigma), schema) if sigma is not None and \
-        category in ("relative", "abox") else None
+    P_sigma = None if sigma is None else tgd_compile(tuple(sigma), schema)
     abox = P_sigma if category == "abox" else None
 
     def side(X: Instance) -> tuple:

@@ -167,23 +167,6 @@ class Program:
     def __hash__(self):
         return hash(self.canonical_key())
 
-    def rename_relations(self, mapping: dict[str, str]) -> "Program":
-        def ren_schema(s: Schema) -> Schema:
-            return Schema([(mapping.get(r, r), a) for r, a in s.relations])
-
-        def ren_atom(a: Atom) -> Atom:
-            return Atom(mapping.get(a.rel, a.rel), a.args)
-
-        rules = [
-            Rule(tuple(ren_atom(a) for a in r.head_atoms),
-                 tuple(ren_atom(a) for a in r.body_atoms),
-                 r.existentials)
-            for r in self.rules
-        ]
-        art = {mapping.get(r, r): p for r, p in self.articulation.items()}
-        return Program(ren_schema(self.s_in), ren_schema(self.s_out),
-                       ren_schema(self.s_aux), rules, art)
-
 
 def fresh_name(base: str, taken: set[str]) -> str:
     if base not in taken:
@@ -947,23 +930,26 @@ def tgd_compile(tgds: list[TGD],
 def instance_to_input(I: Instance, P: Program) -> Instance:
     """Rename an instance over schema S to the R_in input schema of a
     dependency program."""
-    mapping = {r: f"{r}_in" for r, _ in I.schema.relations}
-    renamed = I.rename_relations(mapping)
-    return Instance(P.s_in, renamed.domain, renamed.facts, renamed.points)
+    return I.rename_relations(
+        {r: f"{r}_in" for r in I.schema.names}).with_schema(P.s_in)
+
+
+def input_to_instance(I: Instance, base: Schema) -> Instance:
+    """Rename an R_in input instance back to the base schema S."""
+    return I.rename_relations(
+        {f"{r}_in": r for r in base.names}).with_schema(base)
 
 
 def output_to_instance(J: Instance, base: Schema) -> Instance:
     """Rename an R_out output instance back to the base schema S."""
-    mapping = {f"{r}_out": r for r, _ in base.relations}
-    renamed = J.rename_relations(mapping)
-    return Instance(base, renamed.domain, renamed.facts, renamed.points)
+    return J.rename_relations(
+        {f"{r}_out": r for r in base.names}).with_schema(base)
 
 
 def instance_to_output(I: Instance, P: Program) -> Instance:
     """Rename an instance over schema S to the R_out output schema."""
-    mapping = {r: f"{r}_out" for r, _ in I.schema.relations}
-    renamed = I.rename_relations(mapping)
-    return Instance(P.s_out, renamed.domain, renamed.facts, renamed.points)
+    return I.rename_relations(
+        {r: f"{r}_out" for r in I.schema.names}).with_schema(P.s_out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""``chase.chase_theory`` against the pipeline it replaced, and the cached
-``Program.terminates`` against ``classify``."""
+"""``chase.chase_theory`` against the pipeline it replaced, the schema
+moves of compiled dependency sets against the checked ``Instance``
+construction, and the cached ``Program.terminates`` against
+``classify``."""
 
 import random
 
+import pytest
+
 from conftest import (
+    digraph,
     make_disconnected_program,
     make_ef_program,
     make_loop_rule_program,
@@ -13,16 +18,19 @@ from conftest import (
     make_symmetric_closure,
     make_tc_program,
     make_unfold_program,
+    rel_instance,
     sigma1,
     sigma2,
 )
 from homkit.chase import chase_existential, chase_theory, run_program
-from homkit.core import Element, Instance, Schema
+from homkit.core import Element, Instance, Schema, SchemaMismatch
 from homkit.program import (
     TGD,
     Atom,
     classify,
+    input_to_instance,
     instance_to_input,
+    instance_to_output,
     output_to_instance,
     tgd_compile,
     tgd_schema,
@@ -99,3 +107,77 @@ def test_chase_theory_matches_pipeline():
                 assert got == want, (name, A, rounds)
                 assert repr(got[0]) == repr(want[0])
                 assert got[0].points == A.points
+
+
+def _checked_rename(I: Instance, mapping: dict, schema: Schema) -> Instance:
+    """The checked construction the schema moves replaced: every renamed
+    fact validated against ``schema``."""
+    return Instance(schema, I.domain,
+                    [(mapping.get(r, r), args) for r, args in I.facts],
+                    I.points)
+
+
+def test_schema_moves_match_the_checked_construction():
+    """The four schema moves of a compiled dependency set equal the checked
+    construction, on instances over the whole base and over a sub-schema
+    of it (the base adds U/1 to each theory's relations)."""
+    rng = random.Random(23)
+    for name, sigma in THEORIES.items():
+        base = tgd_schema(sigma).union(Schema([("E", 2), ("U", 1)]))
+        P = tgd_compile(sigma, base)
+        to_in = {r: f"{r}_in" for r in base.names}
+        to_out = {r: f"{r}_out" for r in base.names}
+        for _ in range(60):
+            A = _pointed_instance(rng)
+            U = [("U", (e,)) for e in sorted(A.domain) if rng.random() < .5]
+            for X in (A, Instance(base, A.domain, A.facts | set(U),
+                                  A.points)):
+                inp = instance_to_input(X, P)
+                assert inp == _checked_rename(X, to_in, P.s_in), name
+                back = input_to_instance(inp, base)
+                assert back == _checked_rename(
+                    inp, {v: r for r, v in to_in.items()}, base)
+                out = instance_to_output(X, P)
+                assert out == _checked_rename(X, to_out, P.s_out), name
+                assert output_to_instance(out, base) == back == \
+                    X.with_schema(base)
+
+
+def test_schema_moves_still_check_the_retarget():
+    """A move onto a schema with another arity, or without a relation that
+    holds facts, raises; a relation without facts may be left behind."""
+    P = tgd_compile(sigma1("E"))
+    for bad in (rel_instance("E", 3, [("a", "b", "c")]),
+                rel_instance("F", 2, [("a", "b")])):
+        for move in (instance_to_input, instance_to_output):
+            with pytest.raises(SchemaMismatch):
+                move(bad, P)
+    A = digraph([("a", "b")])
+    with pytest.raises(SchemaMismatch):
+        input_to_instance(instance_to_input(A, P), Schema([("E", 3)]))
+    with pytest.raises(SchemaMismatch):
+        output_to_instance(instance_to_output(A, P), Schema([("F", 2)]))
+    wider = A.with_schema(Schema([("E", 2), ("F", 2)]))
+    assert instance_to_input(wider, P) == instance_to_input(A, P)
+
+
+def test_chase_theory_builds_no_checked_instance(monkeypatch):
+    """On a valid instance, every schema move of ``chase_theory`` and the
+    chase itself build their instances unchecked."""
+    cases = [(tgd_compile(sigma, tgd_schema(sigma).union(E)), rounds)
+             for sigma in THEORIES.values() for rounds in (None, 3)]
+    A = digraph([("a", "b"), ("b", "c")], extra=["d"], points=("d", "a"))
+    calls = []
+    init = Instance.__init__
+
+    def counted(inst, *args, **kwargs):
+        calls.append(args)
+        init(inst, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "__init__", counted)
+    for P, rounds in cases:
+        if rounds is None and not P.terminates:
+            continue
+        chased, _ = chase_theory(P, A, rounds)
+        assert chased.points == A.points and A.facts <= chased.facts
+    assert calls == []

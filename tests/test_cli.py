@@ -213,13 +213,33 @@ def test_dualize_relative_and_abox(files, capsys):
         validate(payload, "dualize.json")
 
 
-def test_dualize_usage_errors(files):
-    # --program and --frontier are mutually exclusive; --program needs --rel
-    assert main(["dualize", "--program", str(files / "path2.dl"),
-                 "--rel", "Ans",
-                 "--frontier", str(files / "path.inst")]) == 2
-    assert main(["dualize", "--program", str(files / "path2.dl")]) == 2
-    assert main(["dualize"]) == 2
+def test_dualize_usage_errors(files, capsys):
+    program = ["--program", str(files / "path2.dl"), "--rel", "Ans"]
+    frontier = ["--frontier", str(files / "path.inst")]
+    for argv in (
+            # --program and --frontier are mutually exclusive; --program
+            # needs --rel
+            ["dualize", *program, *frontier],
+            ["dualize", "--program", str(files / "path2.dl")],
+            ["dualize"],
+            # the dependency-set flags apply to --frontier only
+            ["dualize", *program, "--theory", str(files / "sigma1.tgd")],
+            ["dualize", *program, "--abox"],
+            ["dualize", *program, "--adjoint-program",
+             str(files / "rewrite.dl")],
+            ["dualize", *program, "--theory", str(files / "sigma1.tgd"),
+             "--abox", "--adjoint-program", str(files / "tc.dl"), "--json"],
+            # --abox needs --theory, with or without --verify
+            ["dualize", *frontier, "--abox"],
+            ["dualize", *frontier, "--abox", "--verify", "2"],
+            # --abox contradicts an explicit --mode model
+            ["characterize", str(files / "q.q"), "--mode", "model",
+             "--abox"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and \
+            captured.err.count("\n") == 1, argv
 
 
 def test_characterize(files, capsys, tmp_path):
@@ -331,6 +351,21 @@ def test_verify_abox_duality_without_theory_is_a_usage_error(files, capsys):
                  "-B", "1"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--category", "relative"),
+    ("--category", "plain", "--theory", "sigma1.tgd")],
+    ids=("relative-without-theory", "plain-with-theory"))
+def test_verify_duality_category_and_theory_must_agree(files, capsys,
+                                                       monkeypatch, extra):
+    monkeypatch.chdir(files)
+    code = main(["verify", "duality", "--frontier", "path.inst",
+                 "--dual", "loop.inst", "-B", "1", *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and \
+        captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("old, new", [

@@ -1,6 +1,6 @@
 """Golden ``--json`` output: the sha256 of stdout and the exit code of
-in-process ``homkit`` runs for the adjoint, duality, classify and hom
-commands, and for the verdicts of characterize, dualize and verify.
+in-process ``homkit`` runs of every subcommand, and the sha256 of the
+``--out-dir`` files that adjoint, dualize and characterize write.
 
 The digests pin the JSON output byte for byte.  The adjoint and duality
 digests were taken from the code before the pair-element adjoint was
@@ -12,8 +12,11 @@ went over integer-coded bitmask domains with forward checking; the
 verdict digests, which pin ``verified``, ``unknown`` and the first
 counterexample in the plain, relative and ABox categories, from the code
 before the oracle's "does some member map" answers became one
-three-valued helper.  A mismatch means the output changed, and the digest
-must not be regenerated to make the test pass.
+three-valued helper.  The digests of chase, unfold, verify adjoint and
+equiv, tgd, pultr and automaton, and of the ``--out-dir`` files, were
+taken from the code before compiled dependency sets moved instances
+between schemas by unchecked renames.  A mismatch means the output
+changed, and the digest must not be regenerated to make the test pass.
 """
 
 import contextlib
@@ -44,7 +47,9 @@ from conftest import (
 )
 from homkit.cli import main
 from homkit.core import Element, Instance
-from homkit.syntax import print_instance, print_program, print_tgds
+from homkit.program import pultr_compile
+from homkit.syntax import parse_query, print_instance, print_program, \
+    print_tgds
 
 PROGRAMS = {
     "disconnected": make_disconnected_program(),
@@ -138,6 +143,59 @@ QUERIES = {
     "some-edge": "query q/0\n() :- E(x,y).\n",
 }
 
+# vertex and edge queries of the ``pultr compile`` case
+PULTR_QUERIES = {
+    "pultr-v": "query v/1\n(x) :- V(x).\n",
+    "pultr-e": "query e/2\n(x,y) :- E(x,z), E(z,y).\n",
+}
+
+# the compiled program of the ``pultr`` queries, as chase input
+PULTR_PROGRAM = pultr_compile(
+    *(parse_query(text).disjuncts[0] for text in PULTR_QUERIES.values()))
+
+# the remaining subcommands: chase in each mode, unfold, verify adjoint
+# and equiv, tgd, pultr and automaton
+COMMANDS = {
+    "chase-tc-path": ("chase", "tc.dl", "path.inst"),
+    "chase-tc-path-full": ("chase", "tc.dl", "path.inst", "--full"),
+    "chase-pultr-wa": ("chase", "pultr.dl", "pultr.inst", "--mode", "wa"),
+    "chase-pultr-wa-full": (
+        "chase", "pultr.dl", "pultr.inst", "--mode", "wa", "--full"),
+    "chase-nonterminating-auto": (
+        "chase", "nonterminating.dl", "r-edge.inst"),
+    "chase-nonterminating-bounded": (
+        "chase", "nonterminating.dl", "r-edge.inst", "--mode", "bounded",
+        "--max-steps", "4", "--full"),
+    "unfold-tc-Ans": ("unfold", "tc.dl", "--rel", "Ans", "--depth", "3"),
+    "unfold-rewrite-E_out": (
+        "unfold", "rewrite.dl", "--rel", "E_out", "--depth", "2"),
+    "verify-adjoint-path2-loop": (
+        "verify", "adjoint", "path2.dl", "path2.loop.inst", "-B", "2"),
+    "verify-adjoint-tc-most": (
+        "verify", "adjoint", "tc.dl", "tc.most.inst", "-B", "2"),
+    "verify-equiv-path2-path3-B2": (
+        "verify", "equiv", "path2.dl", "path3.dl", "-B", "2"),
+    "verify-equiv-path2-path3-B3": (
+        "verify", "equiv", "path2.dl", "path3.dl", "-B", "3"),
+    "tgd-compile-sigma1": ("tgd", "compile", "sigma1.tgd"),
+    "tgd-compile-sigma2": ("tgd", "compile", "sigma2.tgd"),
+    "tgd-compile-inclusion": ("tgd", "compile", "fixture-inclusion.tgd"),
+    "tgd-print-sigma1": ("tgd", "print", "sigma1.tgd"),
+    "pultr-compile": (
+        "pultr", "compile", "--vertex", "pultr-v.q", "--edge", "pultr-e.q"),
+    "automaton-compile-edge": ("automaton", "compile", "fixture-edge.aut"),
+    "automaton-run-edge-accepted": (
+        "automaton", "run", "fixture-edge.aut", "--term", "E@1({},{X1})"),
+    "automaton-run-edge-rejected": (
+        "automaton", "run", "fixture-edge.aut", "--term", "{X1}"),
+    "automaton-union-edge-label": (
+        "automaton", "union", "fixture-edge.aut", "fixture-label.aut"),
+    "automaton-complement-label": (
+        "automaton", "complement", "fixture-label.aut"),
+    "automaton-project-edge": (
+        "automaton", "project", "fixture-edge.aut", "--labels", ""),
+}
+
 # verdict cases: pass, fail and unknown in each category
 VERDICTS = {
     "characterize-edge-sigma1": (
@@ -183,8 +241,9 @@ def _write_files(d):
             (d / f"{name}.{jname}.inst").write_text(print_instance(J))
     for name, P in CLASSIFIED.items():
         (d / f"{name}.dl").write_text(print_program(P))
-    for path in FIXTURES.glob("*.dl"):
-        (d / f"fixture-{path.name}").write_text(path.read_text())
+    for pattern in ("*.dl", "*.tgd", "*.aut"):
+        for path in FIXTURES.glob(pattern):
+            (d / f"fixture-{path.name}").write_text(path.read_text())
     (d / "edge.inst").write_text(print_instance(digraph([("a", "b")])))
     (d / "path.inst").write_text(print_instance(
         digraph([("a", "b"), ("b", "c")])))
@@ -194,8 +253,14 @@ def _write_files(d):
         (d / f"{name}.inst").write_text(print_instance(inst))
     (d / "sigma1.tgd").write_text(print_tgds(sigma1("E")))
     (d / "sigma2.tgd").write_text(print_tgds(sigma2("E")))
-    for name, text in QUERIES.items():
+    for name, text in dict(QUERIES, **PULTR_QUERIES).items():
         (d / f"{name}.q").write_text(text)
+    (d / "pultr.dl").write_text(print_program(PULTR_PROGRAM))
+    (d / "pultr.inst").write_text(
+        "instance over V_in/1, E_in/2\n"
+        "V_in(a).\nV_in(c).\nE_in(a,b).\nE_in(b,c).\nE_in(c,a).\n")
+    (d / "r-edge.inst").write_text(print_instance(
+        rel_instance("R_in", 2, [("a", "b")])))
 
 
 def _cases() -> dict:
@@ -226,6 +291,7 @@ def _cases() -> dict:
         cases[f"classify-fixture-{path.stem}"] = (
             "classify", f"fixture-{path.name}")
     cases.update(VERDICTS)
+    cases.update(COMMANDS)
     return cases
 
 
@@ -281,6 +347,18 @@ GOLDEN = {
         "42483eb42469749942432a513047babdd956256211369aa170aa7f6f8ad3cc21",
     "adjoint-unfold-most":
         "665f5a70f72c4333f9e8a91f51d724cdd2ce13e6b21539428f0c29f4e7ce3b96",
+    "automaton-compile-edge":
+        "b555b4f7f033aa07a5ecaaf01c11696a8a06e54c6cffce765bedadf0ed94628c",
+    "automaton-complement-label":
+        "29573ee5dcd0af741c4972543049e366664bc4eebd65975ac76bc2390512efb1",
+    "automaton-project-edge":
+        "48ac453e31437e4ef392a142c105c7ee99c4a12339aabe0d849b73ffbcfdf725",
+    "automaton-run-edge-accepted":
+        "6afcf1c27c873fdced17b1aa75b6c626c595678420131e16c8c9851864c6c224",
+    "automaton-run-edge-rejected":
+        "5465a882d1c10320b75f77ce1f922b8f2e6f91c66e3c48f5ea3b7a36c6ea2c7e",
+    "automaton-union-edge-label":
+        "d21f7913355a03225b03dfe7deb6712f80abe76fd9a4511ee79befb1c3bccedd",
     "characterize-edge-sigma1":
         "ffc91e5d1888c3e0769d4af3d194b60dd00cdc44b2cae5c4d098d5483d02a76c",
     "characterize-edge-sigma2-abox":
@@ -291,6 +369,18 @@ GOLDEN = {
         "a56d9a5bdf049aa450b92556cc463c27d8292160187a53c8caa76607d0591e61",
     "characterize-some-edge-sigma2-abox":
         "2748933b3e3d6bc9da3b129c72af31838115c22b910cfbf117c76832cb3b8ab9",
+    "chase-nonterminating-auto":
+        "05c8f6664d4b542b26a096f356407aa89aa96463392cc61e7a374638db144c4e",
+    "chase-nonterminating-bounded":
+        "4a36076e28d3a0d4425d9d4e29d8468289026599657b74ec75b6d35939027424",
+    "chase-pultr-wa":
+        "26be679a2400e88359be3c80e85bec1adc57d18fbd4a459f43f63fa6e73d5e88",
+    "chase-pultr-wa-full":
+        "37054bffe669ffa8463d97bbcc7c7d91aae5edae6f2ebbf2fb047b6389db4a55",
+    "chase-tc-path":
+        "dde60613e3d6c4c6a8c89ea99ca38c8c8f560b4cac04ad49341b94b7004e10ff",
+    "chase-tc-path-full":
+        "78478b9dfb7553302dc4b7cf46192cd1170e59d195de3029851aca507d0e383a",
     "classify-disconnected":
         "2e8e605d7cc1b27d3fe80f1d67b4135e62ce4c36811e542ab96acad6a48ed0a6",
     "classify-ef":
@@ -391,6 +481,24 @@ GOLDEN = {
         "68a4e15048462f524926468d1a100e4ddd70fd2605e7b9e3aaa1ccc785b23d75",
     "hom-tsrc-tplain":
         "c64dc2c2df7cadcf394253f0bdae29bcdebe2482ef385cb7428055e0ca88a9d4",
+    "pultr-compile":
+        "12d35e07d1529ff4ee31900d3c372f216b1925d40ba8d1a8010f1ac15408fafa",
+    "tgd-compile-inclusion":
+        "c9d07b9f3ea417d4546600307e9d24785b04c6450c318436f6134d6c9156cc24",
+    "tgd-compile-sigma1":
+        "0ef6d869a2554b9e7c5bfc660a3237f047432f998ffd48652fa828cabe028e86",
+    "tgd-compile-sigma2":
+        "bf6a4abeec8e4cdca7f5ea2e9d8fa9b4affe106d574c52d6192c43c00fc3d07b",
+    "tgd-print-sigma1":
+        "8847c89c196ef4eb346ac4e64426a9d7ace6900984d7be8ac7ced4ed786394a2",
+    "unfold-rewrite-E_out":
+        "98e13aaf8df03523ad3f53a554604135af4fdc5aeaa06f4277baa72b4dde8e31",
+    "unfold-tc-Ans":
+        "ad488246659d4db0a5fe05055bb97c68f8a49e607bce2f655a6e9a4c65d47c5d",
+    "verify-adjoint-path2-loop":
+        "89bb4aaf0f76f4fc8efc2c1184016cf7d94504220b1afdc352b389907e4de769",
+    "verify-adjoint-tc-most":
+        "89bb4aaf0f76f4fc8efc2c1184016cf7d94504220b1afdc352b389907e4de769",
     "verify-duality-edge-loop":
         "4538e8db5cf02770d03a1fafe035b6f150004dc99a364fe94d0d2db17fd54518",
     "verify-duality-edge-loop-abox":
@@ -399,6 +507,10 @@ GOLDEN = {
         "89bb4aaf0f76f4fc8efc2c1184016cf7d94504220b1afdc352b389907e4de769",
     "verify-dualize-inclusion-R_out":
         "842f49b071d0ba70a5411c62fc34b6c436c13872fd4ef9b4d842d9f36a42b3e2",
+    "verify-equiv-path2-path3-B2":
+        "89bb4aaf0f76f4fc8efc2c1184016cf7d94504220b1afdc352b389907e4de769",
+    "verify-equiv-path2-path3-B3":
+        "38ee137d2f02b4d0b10a8b0aba5accdc0cf037ae4c3849d6bc97e3a3d9f4bab4",
     "verify-frontier-edge-sigma2-abox":
         "36104c73273d29355317eae92a7fc7685e20a734c0ce1da043d21139508d4e56",
     "verify-frontier-path-sigma2-abox":
@@ -406,8 +518,9 @@ GOLDEN = {
 }
 
 # the cases that exit 1 (no homomorphism, or a failing or unknown
-# verdict); every other case exits 0
+# verdict); those in CAPPED exit 3, and every other case exits 0
 NEGATIVE = {
+    "automaton-run-edge-rejected",
     "characterize-edge-sigma2-abox",
     "characterize-mid-sigma2-abox",
     "hom-c5-k2",
@@ -418,17 +531,62 @@ NEGATIVE = {
     "verify-duality-edge-loop",
     "verify-duality-edge-loop-abox",
     "verify-dualize-inclusion-R_out",
+    "verify-equiv-path2-path3-B3",
+}
+
+# the cases that stop at the chase budget and exit 3
+CAPPED = {"chase-nonterminating-auto", "chase-nonterminating-bounded"}
+
+# the cases whose ``--out-dir`` files are pinned as well
+OUT_DIR_CASES = (
+    "adjoint-path2-loop",
+    "adjoint-tc-most",
+    "characterize-edge-sigma1",
+    "characterize-mid-sigma2-abox",
+    "dualize-path2-Ans",
+    "frontier-path-minimize",
+    "frontier-ppath-sigma1",
+    "frontier-ppath-sigma2-abox",
+)
+
+# sha256 of the ``--out-dir`` files per case
+OUT_DIR_GOLDEN = {
+    "adjoint-path2-loop":
+        "47536e7625383b647fee0a336450aeae8eb2b423ccaa6082c0360446d44527b2",
+    "adjoint-tc-most":
+        "0c353788dbf1418a63194dc46435b8035b635c443c819cb01527e4fb2d4b4f52",
+    "characterize-edge-sigma1":
+        "efcf4c67ea7e0c02425474aa483156f2b17de38557ec30caf044e0b2b89a516b",
+    "characterize-mid-sigma2-abox":
+        "3e3d7f70d5f061d07cb36146bfd6220d3ee0158c82d3cf2f4fa282a90804a1fc",
+    "dualize-path2-Ans":
+        "eb674cd2db70f0004e9d7f8bdb588d7459d21d66ca83ab5d4ca482e5e0bc71fc",
+    "frontier-path-minimize":
+        "f6dd06550c9dc77a2eba7eaf32a09d22b9014071e3e7436ba5b9517f3cbe97c9",
+    "frontier-ppath-sigma1":
+        "3a1da7f4f8e4bf02584434dfdba47f98f868448b949fb8571574e30292f7fd2e",
+    "frontier-ppath-sigma2-abox":
+        "bf1fb1fe7cca29f866b6931c4c6aef87d905ec80a2e3a4fc97012570701660e9",
 }
 
 
-def run_case(name: str) -> tuple:
+def run_case(name: str, *extra) -> tuple:
     """(exit code, sha256 of stdout) of one case run in-process, its file
     names relative to the working directory (the query file's name is part
     of the characterize output)."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(list(CASES[name]) + ["--json"])
+        code = main(list(CASES[name]) + list(extra) + ["--json"])
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def out_dir_digest(out: pathlib.Path) -> str:
+    """sha256 over the name and contents of every file in ``out``, in name
+    order."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +600,21 @@ def test_every_case_has_a_digest():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
+def expected_code(name: str) -> int:
+    return 3 if name in CAPPED else int(name in NEGATIVE)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_is_unchanged(golden_dir, monkeypatch, name):
     monkeypatch.chdir(golden_dir)
-    assert run_case(name) == (int(name in NEGATIVE), GOLDEN[name])
+    assert run_case(name) == (expected_code(name), GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", OUT_DIR_CASES)
+def test_out_dir_files_are_unchanged(golden_dir, monkeypatch, tmp_path,
+                                     name):
+    monkeypatch.chdir(golden_dir)
+    out = tmp_path / "out"
+    assert run_case(name, "--out-dir", str(out)) == (
+        expected_code(name), GOLDEN[name])
+    assert out_dir_digest(out) == OUT_DIR_GOLDEN[name]

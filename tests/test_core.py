@@ -113,11 +113,11 @@ def test_instance_rejects_bad_facts():
 
 
 def test_unchecked_derived_instances_match_the_validated_build():
-    """with_points, reduct, adom_instance and with_schema (into a schema
-    keeping every relation) build without rechecking the facts: each must
-    equal the validated build, a point outside the domain is still
-    rejected, and so is a schema that drops a fact's relation or changes
-    its arity."""
+    """with_points, reduct, adom_instance, rename_relations and with_schema
+    (into a schema keeping every relation) build without rechecking the
+    facts: each must equal the validated build, a point outside the domain
+    is still rejected, and so is a schema that drops a fact's relation or
+    changes its arity, and a rename that merges two arities."""
     rng = random.Random(17)
     schema = Schema([("E", 2), ("U", 1), ("Z", 0)])
     for _ in range(200):
@@ -140,6 +140,11 @@ def test_unchecked_derived_instances_match_the_validated_build():
         wider = schema.union(Schema([("W", 3)]))
         assert pointed.with_schema(wider) == Instance(wider, elems, facts,
                                                       points)
+        ren = rng.choice(({}, {"E": "F"}, {"E": "U_in", "U": "E"},
+                          {"Z": "Z_out", "W": "E"}))
+        assert pointed.rename_relations(ren) == Instance(
+            Schema([(ren.get(r, r), k) for r, k in schema.relations]),
+            elems, [(ren.get(r, r), args) for r, args in facts], points)
     a = Element.named("a")
     inst = Instance(schema, [a], [("E", (a, a))])
     with pytest.raises(HomkitError, match="point b not in domain"):
@@ -148,6 +153,8 @@ def test_unchecked_derived_instances_match_the_validated_build():
         inst.with_schema(Schema([("U", 1)]))
     with pytest.raises(SchemaMismatch, match="does not match arity"):
         inst.with_schema(Schema([("E", 3), ("U", 1)]))
+    with pytest.raises(SchemaMismatch, match="conflicting arities"):
+        inst.rename_relations({"U": "E"})
     # a relation with no facts may be dropped
     edge = Schema([("E", 2)])
     assert inst.with_schema(edge) == Instance(edge, [a], [("E", (a, a))])

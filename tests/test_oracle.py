@@ -310,6 +310,16 @@ def test_abox_verify_needs_a_dependency_set():
                        category="abox")
 
 
+@pytest.mark.parametrize("category, sigma", [
+    ("relative", None), ("plain", sigma1("E"))], ids=("relative", "plain"))
+def test_verify_category_and_dependency_set_must_agree(category, sigma):
+    # the relative category needs a dependency set, and the plain one
+    # takes none: neither is dropped silently
+    with pytest.raises(OracleError, match="dependency set"):
+        verify_duality([digraph([("a", "b")])], [digraph([("x", "x")])], 1,
+                       sigma=sigma, category=category)
+
+
 def test_abox_frontier_hit_does_not_stop_at_an_unknown_member():
     # under E(x,y) -> exists z : E(y,z), whether the 2-cycle maps into the
     # chase of E(e1,e2) is unknown, while the edge maps into it; any
