@@ -27,6 +27,7 @@ from .core import (
     Instance,
     Schema,
     _incidence_links,
+    current_budget,
 )
 from .program import (
     Atom,
@@ -37,9 +38,6 @@ from .program import (
     fresh_name,
     to_simple_tam,
 )
-
-DEFAULT_FACT_CAP = 10 ** 6
-
 
 class AdjointError(HomkitError):
     pass
@@ -131,8 +129,7 @@ def _maximal_cliques(adj: dict) -> Iterator[frozenset]:
         yield from expand(frozenset(), set(adj), set())
 
 
-def tam_adjoint(P: Program, J: Instance,
-                cap: int = DEFAULT_FACT_CAP) -> AdjointResult:
+def tam_adjoint(P: Program, J: Instance) -> AdjointResult:
     """Right adjoint of a tree-shaped almost-monadic Datalog program.
 
     Members are built over pair elements (b, X): a base element of
@@ -149,7 +146,8 @@ def tam_adjoint(P: Program, J: Instance,
     and each articulated one lies in the input atom and agrees with X's
     base, so the choices never conflict.  Disconnected programs are first
     made connected with a fresh binary connector relation; members are then
-    the connector-clique components.
+    the connector-clique components.  The budget's ``facts`` caps both the
+    subsets per base element and the candidate input facts.
     """
     if J.schema.relations != P.s_out.relations:
         raise AdjointError("J must be an instance over the output schema")
@@ -173,6 +171,7 @@ def tam_adjoint(P: Program, J: Instance,
     if art is None:
         raise AdjointError("no total articulation witness exists")
 
+    cap = current_budget().facts
     D = sorted(J.domain) + [BOTTOM]
     # every pair element (b, X), X a set of aux facts over D with b in
     # articulation position
@@ -364,18 +363,17 @@ def compose_adjoints(omega2, omega1, rename: dict | None = None):
     return omega
 
 
-def adjoint(P: Program, J: Instance, method: str = "auto",
-            cap: int = DEFAULT_FACT_CAP) -> AdjointResult:
+def adjoint(P: Program, J: Instance, method: str = "auto") -> AdjointResult:
     """Dispatch to the applicable construction."""
     if method == "tam":
-        return tam_adjoint(P, J, cap=cap)
+        return tam_adjoint(P, J)
     if method == "sl":
         return sl_adjoint(P, J)
     if method != "auto":
         raise AdjointError(f"unknown adjoint method {method!r}")
     cls = classify(P)
     if cls.tam and P.is_datalog:
-        return tam_adjoint(P, J, cap=cap)
+        return tam_adjoint(P, J)
     if cls.strongly_linear:
         return sl_adjoint(P, J)
     raise AdjointError(

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import CapExceeded, Element, HomkitError, Instance, Schema, \
-    find_homomorphism, structure_report
+    current_budget, find_homomorphism, structure_report
 from .program import Atom, Program, Rule
 from .syntax import ParseError, _comma_list, _parse_rel_decl, _Tokens
-
-STATE_CAP = 2 ** 16
 
 
 class AutomatonError(HomkitError):
@@ -379,9 +377,11 @@ def _subset_name(subset: frozenset) -> str:
     return "s_" + "_".join(sorted(subset)) if subset else "s_empty"
 
 
-def determinize(A: TreeAutomaton, cap: int = STATE_CAP) -> TreeAutomaton:
+def determinize(A: TreeAutomaton) -> TreeAutomaton:
     """Subset construction; the result assigns exactly one state to every
-    term.  Accepting subsets are those containing an accepting state."""
+    term.  Accepting subsets are those containing an accepting state.  The
+    budget's ``states`` caps the number of subsets."""
+    cap = current_budget().states
     label_sets = [frozenset(c) for r in range(len(A.labels) + 1)
                   for c in itertools.combinations(sorted(A.labels), r)]
     subsets: dict[frozenset, str] = {}
@@ -407,16 +407,12 @@ def determinize(A: TreeAutomaton, cap: int = STATE_CAP) -> TreeAutomaton:
         queue.clear()
         for (rel, i) in sorted(A.trans):
             k = A.schema.arity(rel)
-            pairs = A.trans[(rel, i)]
             for combo in itertools.product(queue_snapshot, repeat=k):
                 key = ((rel, i), combo)
                 if key in done:
                     continue
                 done.add(key)
-                out = frozenset(
-                    q0 for qs, q0 in pairs
-                    if all(qi in sub for qi, sub in zip(qs, combo)))
-                name = admit(out)
+                name = admit(_step(A, rel, i, combo))
                 trans.setdefault((rel, i), set()).add(
                     (tuple(subsets[c] for c in combo), name))
     states = tuple(sorted(subsets.values()))
@@ -427,8 +423,8 @@ def determinize(A: TreeAutomaton, cap: int = STATE_CAP) -> TreeAutomaton:
                          {k: frozenset(v) for k, v in trans.items()})
 
 
-def complement(A: TreeAutomaton, cap: int = STATE_CAP) -> TreeAutomaton:
-    det = determinize(A, cap=cap)
+def complement(A: TreeAutomaton) -> TreeAutomaton:
+    det = determinize(A)
     accepting = frozenset(q for q in det.states if q not in det.accepting)
     return TreeAutomaton(det.schema, det.labels, det.states, accepting,
                          det.leaf_delta, det.trans)

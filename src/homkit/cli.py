@@ -10,6 +10,7 @@ field in certificates).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -28,9 +29,11 @@ from .automata import (
 )
 from .chase import DEFAULT_BUDGET, chase_existential, run_program
 from .core import (
+    Budget,
     CapExceeded,
     HomkitError,
     Instance,
+    budget,
     core_of,
     find_homomorphism,
 )
@@ -175,7 +178,7 @@ def cmd_unfold(args) -> int:
 def cmd_adjoint(args) -> int:
     P = _load_program(args.program)
     J = _load_instance(args.instance)
-    res = adjoint(P, J, method=args.method, cap=args.cap)
+    res = adjoint(P, J, method=args.method)
     members = []
     for idx, (j_prime, iota) in enumerate(res.members):
         members.append({
@@ -216,25 +219,25 @@ def cmd_dualize(args) -> int:
                             "to --frontier only")
     if args.abox and not args.theory:
         return _usage_error("--abox needs --theory")
+    if args.adjoint_program and not args.theory:
+        return _usage_error("--adjoint-program needs --theory")
     sigma = tuple(parse_tgds(_read(args.theory))) if args.theory else ()
     rewrite = _load_program(args.adjoint_program) \
         if args.adjoint_program else None
-    sigma_arg = sigma if sigma else None
     if args.program:
         P = _load_program(args.program)
-        d = dual_from_program(P, args.rel, cap=args.cap)
+        d = dual_from_program(P, args.rel)
         frontier = d.generator
         program_payload = program_json(restrict_output(P, args.rel))
     else:
         F = [_load_instance(p) for p in args.frontier]
         if args.abox:
-            d = abox_dual(sigma, F, adjoint_program=rewrite, cap=args.cap)
+            d = abox_dual(sigma, F, adjoint_program=rewrite)
         elif sigma:
-            d = dual_wrt_theory(sigma, F, adjoint_program=rewrite,
-                                cap=args.cap)
+            d = dual_wrt_theory(sigma, F, adjoint_program=rewrite)
         else:
             P0 = frontier_program(F)
-            d = dual_from_program(P0, "Ans", cap=args.cap)
+            d = dual_from_program(P0, "Ans")
             d.frontier = tuple(F)
         frontier = d.frontier if d.frontier else d.generator
         program_payload = None
@@ -246,8 +249,11 @@ def cmd_dualize(args) -> int:
             _write_out(args.out_dir, f"dual_{idx}.inst", print_instance(D))
     verdict = None
     if args.verify is not None:
-        verdict = verify_duality(frontier, duals, args.verify,
-                                 sigma=sigma_arg, category=d.category)
+        # an empty dependency set is still one: only plain takes none
+        verdict = verify_duality(
+            frontier, duals, args.verify,
+            sigma=None if d.category == "plain" else sigma,
+            category=d.category)
     text = "".join(print_instance(D) + "\n" for D in duals)
     cert = _certificate(
         "duality",
@@ -279,10 +285,9 @@ def cmd_characterize(args) -> int:
     rewrite = _load_program(args.adjoint_program) \
         if args.adjoint_program else None
     if args.abox or args.mode == "abox":
-        ex = characterize_abox(q, sigma, adjoint_program=rewrite,
-                               cap=args.cap)
+        ex = characterize_abox(q, sigma, adjoint_program=rewrite)
     else:
-        ex = characterize(q, sigma, adjoint_program=rewrite, cap=args.cap)
+        ex = characterize(q, sigma, adjoint_program=rewrite)
     for idx, A in enumerate(ex.positives):
         if args.out_dir:
             _write_out(args.out_dir, f"pos_{idx}.inst", print_instance(A))
@@ -347,7 +352,7 @@ def cmd_verify_duality(args) -> int:
 def cmd_verify_adjoint(args) -> int:
     P = _load_program(args.program)
     J = _load_instance(args.instance)
-    res = adjoint(P, J, method=args.method, cap=args.cap)
+    res = adjoint(P, J, method=args.method)
     v = verify_adjoint(P, J, res, B=args.bound)
     return _finish_verdict(args, v)
 
@@ -400,8 +405,7 @@ def cmd_automaton_union(args) -> int:
 
 
 def cmd_automaton_complement(args) -> int:
-    return _emit_automaton(
-        args, complement(_load_automaton(args.automaton), cap=args.cap))
+    return _emit_automaton(args, complement(_load_automaton(args.automaton)))
 
 
 def cmd_automaton_project(args) -> int:
@@ -443,6 +447,12 @@ def cmd_theory_print(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON output")
+
+
+def _add_cap(p: argparse.ArgumentParser, field: str, help=None):
+    """``--cap`` sets the budget's ``field`` for the subcommand."""
+    p.add_argument("--cap", dest=field, metavar="CAP", type=int,
+                   default=getattr(Budget, field), help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=("auto", "tam", "sl"),
                    default="auto")
-    p.add_argument("--cap", type=int, default=10 ** 6,
-                   help="candidate-size cap (default 1000000)")
+    _add_cap(p, "facts",
+             help=f"candidate-size cap (default {Budget.facts})")
     p.add_argument("--verify", type=int, metavar="B",
                    help="check the adjoint biconditional up to B elements")
     p.add_argument("-o", "--out-dir")
@@ -518,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace each emitted dual by its core "
                         "(exhaustive retract search, skipped above 8 "
                         "domain elements)")
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    _add_cap(p, "facts")
     p.add_argument("--verify", type=int, metavar="B",
                    help="verify the duality up to B elements")
     p.add_argument("-o", "--out-dir")
@@ -539,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equivalent program with an applicable adjoint "
                         "construction, used in place of the compiled "
                         "theory")
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    _add_cap(p, "facts")
     p.add_argument("--verify", type=int, metavar="B")
     p.add_argument("-o", "--out-dir")
     _add_common(p)
@@ -567,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("instance")
     v.add_argument("--method", choices=("auto", "tam", "sl"),
                    default="auto")
-    v.add_argument("--cap", type=int, default=10 ** 6)
+    _add_cap(v, "facts")
     v.add_argument("-B", "--bound", "--max-size", type=int, default=3)
     _add_common(v)
     v.set_defaults(func=cmd_verify_adjoint)
@@ -599,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_automaton_union)
     a = asub.add_parser("complement")
     a.add_argument("automaton")
-    a.add_argument("--cap", type=int, default=2 ** 16,
-                   help="subset-construction state cap (default 65536)")
+    _add_cap(a, "states",
+             help=f"subset-construction state cap (default {Budget.states})")
     a.add_argument("-o", "--out")
     _add_common(a)
     a.set_defaults(func=cmd_automaton_complement)
@@ -644,8 +654,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # --cap lands in the budget field it names; the budget is reset when
+    # the call returns, so in-process calls do not leak caps
+    caps = {f.name: getattr(args, f.name) for f in dataclasses.fields(Budget)
+            if hasattr(args, f.name)}
     try:
-        return args.func(args)
+        with budget(**caps):
+            return args.func(args)
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

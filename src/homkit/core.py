@@ -30,7 +30,9 @@ only candidates with no completion, so the order above is unchanged.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -46,6 +48,36 @@ class SchemaMismatch(HomkitError):
 
 class CapExceeded(HomkitError):
     """A configured resource cap was exceeded."""
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Caps on the enumerations that grow exponentially: ``facts`` bounds
+    the pair-element adjoint's subsets and candidate facts, ``states`` the
+    subset construction of automata.  Exceeding one raises
+    ``CapExceeded``."""
+
+    facts: int = 10 ** 6
+    states: int = 2 ** 16
+
+
+_BUDGET: ContextVar[Budget] = ContextVar("homkit_budget", default=Budget())
+
+
+def current_budget() -> Budget:
+    """The budget in force."""
+    return _BUDGET.get()
+
+
+@contextmanager
+def budget(**fields) -> Iterator[Budget]:
+    """Run the block under the current budget with ``fields`` replaced."""
+    inner = replace(_BUDGET.get(), **fields)
+    token = _BUDGET.set(inner)
+    try:
+        yield inner
+    finally:
+        _BUDGET.reset(token)
 
 
 # ---------------------------------------------------------------------------

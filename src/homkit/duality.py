@@ -81,7 +81,7 @@ def _set_partitions(items: list):
         yield [[head]] + part
 
 
-def dual_from_program(P: Program, R: str, cap: int = 10 ** 6) -> Duality:
+def dual_from_program(P: Program, R: str) -> Duality:
     """Duals for the derivation frontier of (P, R).
 
     For each equality pattern of the k answer positions, builds the
@@ -111,7 +111,7 @@ def dual_from_program(P: Program, R: str, cap: int = 10 ** 6) -> Duality:
             if combo != forbidden
         ]
         J = Instance(P0.s_out, domain, facts)
-        result = adjoint(P0, J, cap=cap)
+        result = adjoint(P0, J)
         blocks = sorted(partition, key=min)
         for j_prime, iota in result.members:
             pools = [
@@ -244,7 +244,7 @@ def frontier_program(F) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _theory_duals(sigma, F_spec, adjoint_program, cap,
+def _theory_duals(sigma, F_spec, adjoint_program,
                   chase_duals: bool) -> tuple:
     sigma = tuple(sigma)
     base = tgd_schema(sigma)
@@ -264,15 +264,14 @@ def _theory_duals(sigma, F_spec, adjoint_program, cap,
     # homomorphism, and each core is hom-equivalent to its dual, so the
     # cores are one too and none is dominated
     raw = sorted((core_of(d) for d in
-                  dual_from_program(frontier_program(F_spec), "Ans",
-                                    cap=cap).duals),
+                  dual_from_program(frontier_program(F_spec), "Ans").duals),
                  key=lambda d: d.canonical_key())
 
     duals = []
     for B in raw:
         b_points = B.points
         J = instance_to_output(B.with_points(()), Q)
-        result = adjoint(Q, J, cap=cap)
+        result = adjoint(Q, J)
         for j_prime, iota in result.members:
             renamed = input_to_instance(j_prime, base)
             pools = [
@@ -289,26 +288,23 @@ def _theory_duals(sigma, F_spec, adjoint_program, cap,
 
 
 def dual_wrt_theory(sigma, F_spec,
-                    adjoint_program: Optional[Program] = None,
-                    cap: int = 10 ** 6) -> Duality:
+                    adjoint_program: Optional[Program] = None) -> Duality:
     """Duality among the models of a dependency set.
 
     The frontier consists of the chased specification instances; duals are
     adjoint members of the base duals, chased.  Requires the dependency
     program to have terminating chases on all inputs (``terminates``).
     """
-    duals, P_sigma = _theory_duals(sigma, F_spec, adjoint_program, cap,
+    duals, P_sigma = _theory_duals(sigma, F_spec, adjoint_program,
                                    chase_duals=True)
     frontier = tuple(adom_instance(chase_theory(P_sigma, A)[0])
                      for A in F_spec)
     return Duality(duals=duals, frontier=frontier, category="relative")
 
 
-def abox_dual(sigma, F, adjoint_program: Optional[Program] = None,
-              cap: int = 10 ** 6) -> Duality:
+def abox_dual(sigma, F, adjoint_program: Optional[Program] = None) -> Duality:
     """Duality in the ABox category of a dependency set: duals are adjoint
     members of the base duals, left unchased; morphisms are maps extending
     to homomorphisms of the chases."""
-    duals, _ = _theory_duals(sigma, F, adjoint_program, cap,
-                             chase_duals=False)
+    duals, _ = _theory_duals(sigma, F, adjoint_program, chase_duals=False)
     return Duality(duals=duals, frontier=tuple(F), category="abox")

@@ -364,7 +364,7 @@ def classify(P: Program) -> Classification:
         connected=connected,
         monadic=monadic,
         strongly_linear=strongly_linear,
-        weakly_acyclic=_weakly_acyclic(P),
+        weakly_acyclic=P.terminates,
         non_recursive=not P.s_aux.relations,
         boolean_program=len(out_rels) == 1 and out_rels[0][1] == 0,
         articulation_witness=(

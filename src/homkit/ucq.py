@@ -141,26 +141,23 @@ def _spec_instances(q: UCQ, sigma) -> list:
     return canonical_instances(q, base)
 
 
-def characterize(q: UCQ, sigma, adjoint_program=None,
-                 cap: int = 10 ** 6) -> ExampleSet:
+def characterize(q: UCQ, sigma, adjoint_program=None) -> ExampleSet:
     """Uniquely characterizing examples among models of the dependency set:
     positives are the chased canonical instances, negatives their duals
     relative to the theory."""
     sigma = tuple(sigma)
     F_spec = _spec_instances(q, sigma)
-    d = dual_wrt_theory(sigma, F_spec, adjoint_program=adjoint_program,
-                        cap=cap)
+    d = dual_wrt_theory(sigma, F_spec, adjoint_program=adjoint_program)
     return ExampleSet(positives=d.frontier, negatives=d.duals,
                       mode="model", theory=sigma)
 
 
-def characterize_abox(q: UCQ, sigma, adjoint_program=None,
-                      cap: int = 10 ** 6) -> ExampleSet:
+def characterize_abox(q: UCQ, sigma, adjoint_program=None) -> ExampleSet:
     """ABox-mode characterization: positives are the raw canonical
     instances; negatives come from the unchased ABox duals."""
     sigma = tuple(sigma)
     F_spec = _spec_instances(q, sigma)
-    d = abox_dual(sigma, F_spec, adjoint_program=adjoint_program, cap=cap)
+    d = abox_dual(sigma, F_spec, adjoint_program=adjoint_program)
     return ExampleSet(positives=tuple(F_spec), negatives=d.duals,
                       mode="abox", theory=sigma)
 
@@ -230,6 +227,6 @@ def verify_characterization(q: UCQ, ex: ExampleSet, B: int = 3):
                        explanation="query does not fit its own example set")
     category = "abox" if ex.mode == "abox" else (
         "relative" if ex.theory else "plain")
-    sigma = tuple(ex.theory) if ex.theory else None
+    sigma = None if category == "plain" else tuple(ex.theory or ())
     return verify_duality(ex.positives, ex.negatives, B, sigma=sigma,
                           category=category)

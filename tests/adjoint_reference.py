@@ -22,13 +22,13 @@ import itertools
 from typing import Optional
 
 from homkit.adjoint import (
-    DEFAULT_FACT_CAP,
     AdjointError,
     AdjointResult,
     _connect_rules,
     _maximal_cliques,
 )
-from homkit.core import BOTTOM, CapExceeded, Element, Instance, Schema
+from homkit.core import BOTTOM, CapExceeded, Element, Instance, Schema, \
+    current_budget
 from homkit.program import (
     Program,
     Rule,
@@ -93,7 +93,7 @@ def _pair_candidates(D, aux_schema: Schema, art: dict):
 
 
 def tam_adjoint(P: Program, J: Instance,
-                cap: int = DEFAULT_FACT_CAP) -> AdjointResult:
+                cap: Optional[int] = None) -> AdjointResult:
     """Right adjoint of a tree-shaped almost-monadic Datalog program.
 
     Members are built over pair elements (b, X): a base element of
@@ -102,7 +102,10 @@ def tam_adjoint(P: Program, J: Instance,
     the closure conditions induced by the (simple-normal-form) rules hold.
     Disconnected programs are first made connected with a fresh binary
     connector relation; members are then the connector-clique components.
+    ``cap`` defaults to the budget's ``facts``.
     """
+    if cap is None:
+        cap = current_budget().facts
     if J.schema.relations != P.s_out.relations:
         raise AdjointError("J must be an instance over the output schema")
     cls = classify(P)

@@ -23,7 +23,7 @@ from conftest import (
     make_unfold_program,
 )
 from homkit.adjoint import sl_adjoint, tam_adjoint
-from homkit.core import Element, HomkitError, Instance, Schema
+from homkit.core import Element, HomkitError, Instance, Schema, budget
 from homkit.duality import fold_reduce
 from homkit.program import (
     Atom,
@@ -63,7 +63,8 @@ def _instance(rng, schema: Schema, max_elems: int, max_facts: int):
 def _outcome(construct, P: Program, J: Instance, cap: int):
     """Members as (canonical key, iota) in order, or the raised error."""
     try:
-        res = construct(P, J, cap=cap)
+        with budget(facts=cap):
+            res = construct(P, J)
     except HomkitError as exc:
         return type(exc).__name__, str(exc)
     return res.method, [(m.canonical_key(), repr(sorted(iota.items())))

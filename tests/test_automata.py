@@ -32,7 +32,8 @@ from homkit.automata import (
     union,
 )
 from homkit.chase import run_program
-from homkit.core import CapExceeded, Schema, find_homomorphism, isomorphic
+from homkit.core import CapExceeded, Schema, budget, find_homomorphism, \
+    isomorphic
 from homkit.program import classify
 
 S = Schema([("E", 2)])
@@ -194,8 +195,8 @@ def test_complement_and_de_morgan():
 
 
 def test_complement_cap():
-    with pytest.raises(CapExceeded):
-        determinize(make_label_automaton(), cap=1)
+    with budget(states=1), pytest.raises(CapExceeded):
+        determinize(make_label_automaton())
 
 
 def test_project_drops_labels():

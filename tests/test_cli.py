@@ -20,6 +20,7 @@ from conftest import (
 import homkit
 from homkit.automata import print_automaton
 from homkit.cli import main
+from homkit.core import Budget, current_budget
 from homkit.syntax import print_instance, print_program, print_query, \
     print_tgds
 from homkit.program import TGD, Atom
@@ -28,6 +29,8 @@ from conftest import digraph
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / \
     "schemas"
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
+    "fixtures"
 
 
 def _registry() -> Registry:
@@ -229,9 +232,12 @@ def test_dualize_usage_errors(files, capsys):
              str(files / "rewrite.dl")],
             ["dualize", *program, "--theory", str(files / "sigma1.tgd"),
              "--abox", "--adjoint-program", str(files / "tc.dl"), "--json"],
-            # --abox needs --theory, with or without --verify
+            # --abox and --adjoint-program need --theory, with or without
+            # --verify
             ["dualize", *frontier, "--abox"],
             ["dualize", *frontier, "--abox", "--verify", "2"],
+            ["dualize", *frontier, "--adjoint-program",
+             str(files / "tc.dl")],
             # --abox contradicts an explicit --mode model
             ["characterize", str(files / "q.q"), "--mode", "model",
              "--abox"]):
@@ -240,6 +246,59 @@ def test_dualize_usage_errors(files, capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("error: ") and \
             captured.err.count("\n") == 1, argv
+
+
+def test_abox_verification_with_an_empty_dependency_set(files, capsys,
+                                                       tmp_path):
+    # an empty dependency set is still one: the ABox category needs it
+    (tmp_path / "empty.tgd").write_text("")
+    (tmp_path / "edge.inst").write_text(print_instance(digraph([("a", "b")])))
+    code, payload = run_json(
+        capsys, "dualize", "--frontier", str(tmp_path / "edge.inst"),
+        "--theory", str(tmp_path / "empty.tgd"), "--abox", "--verify", "2")
+    assert code == 0 and payload["category"] == "abox"
+    assert payload["verified"]["passed"]
+    code, payload = run_json(capsys, "characterize", str(files / "q.q"),
+                             "--abox", "--verify", "2")
+    assert code == 0 and payload["mode"] == "abox"
+    assert payload["verified"]["passed"]
+
+
+def _capped_runs(tmp_path) -> dict:
+    """Subcommand argv (before ``--cap``) and the message its ``--cap 1``
+    exits 3 with."""
+    (tmp_path / "j.inst").write_text(
+        "instance over Ans/2\ndomain: a, b\nAns(a,b).\n")
+    (tmp_path / "q.q").write_text(print_query(UCQ("q", 1, (
+        CQ(("x",), (Atom("E", ("x", "y")),)),))))
+    tc, j = str(FIXTURES / "tc.dl"), str(tmp_path / "j.inst")
+    pair = "pair-element enumeration too large: "
+    return {
+        "adjoint": (["adjoint", tc, j], pair + "2^3 subsets"),
+        "verify-adjoint": (["verify", "adjoint", tc, j],
+                           pair + "2^3 subsets"),
+        "dualize": (["dualize", "--program", str(FIXTURES / "path2.dl"),
+                     "--rel", "Ans"], pair + "2^1 subsets"),
+        "characterize": (["characterize", str(tmp_path / "q.q")],
+                         "candidate fact enumeration for E exceeds cap 1"),
+        "automaton-complement": (["automaton", "complement",
+                                  str(FIXTURES / "label.aut")],
+                                 "subset construction exceeds 1 states"),
+    }
+
+
+@pytest.mark.parametrize("name", ["adjoint", "verify-adjoint", "dualize",
+                                  "characterize", "automaton-complement"])
+def test_cap_exits_3_and_is_reset_after_the_call(capsys, tmp_path, name):
+    argv, message = _capped_runs(tmp_path)[name]
+    assert main([*argv, "--cap", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cap exceeded: {message}\n"
+    # in-process calls share no budget: the next one runs at the default
+    assert current_budget() == Budget()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_characterize(files, capsys, tmp_path):

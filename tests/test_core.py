@@ -16,13 +16,17 @@ import homkit
 from homkit import core
 from homkit.core import (
     BOTTOM,
+    Budget,
+    CapExceeded,
     Element,
     HomkitError,
     Instance,
     Schema,
     SchemaMismatch,
     adom_instance,
+    budget,
     core_of,
+    current_budget,
     find_homomorphism,
     isomorphic,
     structure_report,
@@ -215,6 +219,21 @@ def test_isomorphic_checks_facts_closed_by_points():
     B = Instance(E, [a, b, c], [("E", (a, c)), ("E", (b, b))], (b, c))
     assert not isomorphic(A, B)
     assert not isomorphic(B, A)
+
+
+def test_budget_blocks_replace_fields_and_reset():
+    assert current_budget() == Budget(facts=10 ** 6, states=2 ** 16)
+    with budget(facts=5) as outer:
+        assert current_budget() is outer and outer == Budget(facts=5)
+        with pytest.raises(CapExceeded):
+            with budget(states=7):
+                assert current_budget() == Budget(facts=5, states=7)
+                raise CapExceeded("inner")
+        assert current_budget() is outer
+    assert current_budget() == Budget()
+    with pytest.raises(TypeError):
+        with budget(nodes=1):
+            pass
 
 
 def test_core_of_cycle_with_retract():

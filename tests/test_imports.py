@@ -2,8 +2,8 @@
 every parameter of a homkit function is read in its body, every private
 module-level function is named outside its own definition, the oracle
 imports none of the constructions it checks, only the tokenizer's module
-imports ``re``, and in the oracle only the bounded loop reads the instance
-enumeration."""
+imports ``re``, in the oracle only the bounded loop reads the instance
+enumeration, and resource caps come only from ``core.Budget``."""
 
 import ast
 import pathlib
@@ -203,3 +203,57 @@ def test_no_dead_helpers():
     sources = {path.name: path.read_text()
                for path in sorted(SRC.glob("*.py"))}
     assert _dead_helpers(sources) == []
+
+
+CAP_DEFAULTS = {10 ** 6, 2 ** 16}
+
+
+def _cap_parameters(source: str) -> list:
+    """(line, function) for each function with a parameter named ``cap``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            if "cap" in {a.arg for a in
+                         args.posonlyargs + args.args + args.kwonlyargs}:
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return found
+
+
+def _cap_defaults(source: str) -> list:
+    """(top-level statement, spelling) for each expression spelling a
+    default cap, as a power or as a literal."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for n in ast.walk(stmt):
+            power = isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) \
+                and all(isinstance(x, ast.Constant)
+                        for x in (n.left, n.right)) \
+                and n.left.value ** n.right.value in CAP_DEFAULTS
+            literal = isinstance(n, ast.Constant) and n.value in CAP_DEFAULTS
+            if power or literal:
+                found.append((getattr(stmt, "name", "<module>"),
+                              ast.unparse(n)))
+    return found
+
+
+def test_cap_detectors():
+    source = ("def f(a, cap=10 ** 6):\n    return a\n"
+              "class K:\n    def g(self, *, cap):\n        return 2 ** 16\n"
+              "x = lambda cap: 1000000 + 2 ** 3\n")
+    assert _cap_parameters(source) == [(1, "f"), (4, "g"), (6, "<lambda>")]
+    assert _cap_defaults(source) == [
+        ("f", "10 ** 6"), ("K", "2 ** 16"), ("<module>", "1000000")]
+
+
+def test_caps_come_only_from_the_budget():
+    # one budget in core, read through the context, not passed as ``cap``
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        params, defaults = _cap_parameters(source), _cap_defaults(source)
+        if params or defaults:
+            found[path.name] = (params, defaults)
+    assert found == {"core.py": (
+        [], [("Budget", "10 ** 6"), ("Budget", "2 ** 16")])}
