@@ -219,9 +219,12 @@ def cmd_dualize(args) -> int:
                             "to --frontier only")
     if args.abox and not args.theory:
         return _usage_error("--abox needs --theory")
-    if args.adjoint_program and not args.theory:
-        return _usage_error("--adjoint-program needs --theory")
     sigma = tuple(parse_tgds(_read(args.theory))) if args.theory else ()
+    # the plain frontier path, taken for an empty set without --abox,
+    # reads no rewrite program
+    if args.adjoint_program and not (sigma or args.abox):
+        return _usage_error("--adjoint-program needs --abox or a non-empty "
+                            "--theory")
     rewrite = _load_program(args.adjoint_program) \
         if args.adjoint_program else None
     if args.program:

@@ -17,16 +17,23 @@ answers by strong Kleene disjunction: any "yes", then any "unknown", then
 "no".
 
 Every bounded check reads its instances from one generator, ``_checked``,
-which chases each of them once.  Its one rule: it reads only the first
-labeled member of each isomorphism class, and the least point tuple of each
-orbit under the instance's automorphisms, iff every chase it runs
-terminates (``Program.terminates``).  A terminating chase is unique up to
-isomorphism, so then every verdict it feeds is invariant under isomorphism
-(the duality and adjoint checks, bounded equivalence and the model filter
-alike) and the first counterexample is the labeled loop's (orderly
-generation: Read, "Every one a winner", 1978; McKay, J. Algorithms 1998).
-A chase cut off at its round bound can depend on element names, so then
-every labeled instance and tuple is read.
+which chases each of them once.  Its one rule: a check first reads only
+the first labeled member of each isomorphism class, and the least point
+tuple of each orbit under the instance's automorphisms; at the first
+answer that is not exact it reads every labeled instance and tuple from
+the start, and returns that loop's verdict.  An exact answer is invariant
+under isomorphism: a terminated chase is unique up to isomorphism, a fact
+of a chase prefix holds in every model, and a prefix that does not map
+into a target rules out every model.  So when the labeled loop reads only
+exact answers, the class loop returns its verdict and first counterexample
+(orderly generation: Read, "Every one a winner", 1978; McKay, J.
+Algorithms 1998).  A prefix cut off at its round bound can depend on
+element names, as the restricted chase fires triggers in name order, so
+three answers are not exact: an "unknown", the heuristic "yes" of
+``verify_adjoint``, and a bounded equivalence whose chase did not
+terminate.  A labeled copy may read such an answer where its class
+representative reads an exact one; the class loop then keeps the exact
+answer.
 """
 
 from __future__ import annotations
@@ -268,20 +275,19 @@ def _program_output(P: Program, I: Instance, budget: int):
     return adom_instance(res.output), res.terminated
 
 
-def _checked(schema: Schema, B: int, k: int, programs=(),
+def _checked(schema: Schema, B: int, k: int, up_to_iso: bool, programs=(),
              P_sigma: Optional[Program] = None,
              models_of: Optional[Program] = None):
     """(C pointed at pts, pts, runs) for each instance C with at most B
-    elements and each k-tuple pts over its domain that a bounded check
-    reads, by the rule of the module docstring.  ``runs``, shared by C's
-    tuples, holds C's ``_program_output`` through each of ``programs``,
-    then its ``_abox_chase`` through ``P_sigma``.  Only models of
-    ``models_of`` are read, and no instance without a point tuple."""
+    elements and each k-tuple pts over its domain: with ``up_to_iso``
+    only class representatives and the least tuple of each orbit, else
+    every labeled instance and tuple.  ``runs``, shared by C's tuples,
+    holds C's ``_program_output`` through each of ``programs``, then its
+    ``_abox_chase`` through ``P_sigma``.  Only models of ``models_of``
+    are read, and no instance without a point tuple."""
     if models_of is not None and not models_of.terminates:
         raise OracleError("instance filter requires a dependency set "
                           "with terminating chases")
-    up_to_iso = all(P.terminates for P in programs) and \
-        (P_sigma is None or P_sigma.terminates)
     for C, autos in _class_representatives(schema, B, up_to_iso):
         if k and not C.domain:
             continue
@@ -297,6 +303,15 @@ def _checked(schema: Schema, B: int, k: int, programs=(),
             key = [rank[e] for e in pts]
             if all([rank[pi[e]] for e in pts] >= key for pi in autos):
                 yield (C.with_points(pts) if k else C), pts, runs
+
+
+def _exact_first(fold) -> Verdict:
+    """``fold(up_to_iso)`` folds a check over ``_checked`` and returns its
+    verdict, or None at an answer that is not exact while it reads class
+    representatives; the labeled fold then decides (the module
+    docstring's rule)."""
+    verdict = fold(True)
+    return fold(False) if verdict is None else verdict
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +386,40 @@ def verify_duality(F, D, B: int = 3, sigma=None,
 
     F_sides = [] if generator else [side(A) for A in F]
     D_sides = [side(d) for d in duals]
-    for Cp, pts, runs in _checked(
-            schema, B, k, (F[0],) if generator else (), abox,
-            P_sigma if category == "relative" else None):
-        C_side = (adom_instance(Cp), None) if abox is None else \
-            (Cp, runs[-1])
-        if generator:
-            out, terminated = runs[0]
-            # a miss in a chase prefix decides nothing
-            fin = "yes" if (F[1], pts) in out.facts else (
-                "no" if terminated else "unknown")
-        else:
-            fin = _some_map([(A, C_side) for A in F_sides], abox)
-        din = _some_map([(C_side, d) for d in D_sides], abox)
-        if "unknown" in (fin, din):
-            expl = (f"{fact_ser((F[1], pts))} is not derived in "
-                    f"{PROGRAM_ROUNDS} chase rounds and the chase has "
-                    "not terminated"
-                    if generator and fin == "unknown" else
-                    "bounded chase could not decide a morphism for "
-                    "this instance")
-            return Verdict(False, B, Cp, unknown=True,
-                           explanation=f"unknown: {expl}")
-        if fin == din:
-            side = ("in both the frontier's and the duals' closure"
-                    if fin == "yes" else "in neither closure")
-            return Verdict(False, B, Cp, explanation=f"instance is {side}")
-    return Verdict(True, B)
+
+    def fold(up_to_iso: bool) -> Optional[Verdict]:
+        for Cp, pts, runs in _checked(
+                schema, B, k, up_to_iso, (F[0],) if generator else (), abox,
+                P_sigma if category == "relative" else None):
+            C_side = (adom_instance(Cp), None) if abox is None else \
+                (Cp, runs[-1])
+            if generator:
+                out, terminated = runs[0]
+                # a miss in a chase prefix decides nothing
+                fin = "yes" if (F[1], pts) in out.facts else (
+                    "no" if terminated else "unknown")
+            else:
+                fin = _some_map([(A, C_side) for A in F_sides], abox)
+            din = _some_map([(C_side, d) for d in D_sides], abox)
+            if "unknown" in (fin, din):
+                if up_to_iso:
+                    return None
+                expl = (f"{fact_ser((F[1], pts))} is not derived in "
+                        f"{PROGRAM_ROUNDS} chase rounds and the chase has "
+                        "not terminated"
+                        if generator and fin == "unknown" else
+                        "bounded chase could not decide a morphism for "
+                        "this instance")
+                return Verdict(False, B, Cp, unknown=True,
+                               explanation=f"unknown: {expl}")
+            if fin == din:
+                where = ("in both the frontier's and the duals' closure"
+                         if fin == "yes" else "in neither closure")
+                return Verdict(False, B, Cp,
+                               explanation=f"instance is {where}")
+        return Verdict(True, B)
+
+    return _exact_first(fold)
 
 
 # ---------------------------------------------------------------------------
@@ -416,53 +438,63 @@ def verify_adjoint(P: Program, J: Instance, result, B: int = 3) -> Verdict:
     J is a certain "no", as the output only grows.  A prefix that maps
     into J is not a certain "yes": it is accepted when one more round
     still maps, and the verdict is unknown otherwise.  The instances come
-    from ``_checked``.
+    from ``_checked``: class representatives while every answer is exact,
+    and every labeled instance from the start once a prefix maps into J,
+    since that heuristic "yes" is not exact.
     """
     members = list(result.members)
-    for I, _, ((out, stable),) in _checked(P.s_in, B, 0, (P,)):
-        lhs = find_homomorphism(out, J) is not None
-        if lhs and not stable:
-            # heuristic "yes": certifying it needs a finite model of P
-            # whose output maps into J, and nothing here searches for one
-            out1, _ = _program_output(P, I, PROGRAM_ROUNDS + 1)
-            lhs1 = find_homomorphism(out1, J) is not None
-            if lhs != lhs1:
-                return Verdict(False, B, I, unknown=True,
-                               explanation="unknown: bounded chase not "
-                                           "stable for this instance")
-        I_adom = adom_instance(I)
-        rhs = any(
-            find_homomorphism(I_adom, j_prime) is not None
-            for j_prime, _ in members
-        )
-        if lhs != rhs:
-            expl = ("program image maps into J but I maps into no member"
-                    if lhs else
-                    "I maps into a member but the program image does not "
-                    "map into J")
-            return Verdict(False, B, I, explanation=expl)
-        if not lhs:
-            continue
-        # commuting diagram: some h: I -> member and g: image -> J with
-        # g agreeing with iota∘h wherever iota∘h is defined
-        ok = False
-        for j_prime, iota in members:
-            if ok:
-                break
-            for h in iter_homomorphisms(I_adom, j_prime):
-                bindings = {
-                    x: iota[h[x]]
-                    for x in h
-                    if x in out.domain and h[x] in iota
-                }
-                if find_homomorphism(out, J, bindings=bindings) is not None:
-                    ok = True
+
+    def fold(up_to_iso: bool) -> Optional[Verdict]:
+        for I, _, ((out, stable),) in _checked(P.s_in, B, 0, up_to_iso,
+                                               (P,)):
+            lhs = find_homomorphism(out, J) is not None
+            if lhs and not stable:
+                if up_to_iso:
+                    return None
+                # heuristic "yes": certifying it needs a finite model of P
+                # whose output maps into J, and nothing here searches for one
+                out1, _ = _program_output(P, I, PROGRAM_ROUNDS + 1)
+                lhs1 = find_homomorphism(out1, J) is not None
+                if lhs != lhs1:
+                    return Verdict(False, B, I, unknown=True,
+                                   explanation="unknown: bounded chase not "
+                                               "stable for this instance")
+            I_adom = adom_instance(I)
+            rhs = any(
+                find_homomorphism(I_adom, j_prime) is not None
+                for j_prime, _ in members
+            )
+            if lhs != rhs:
+                expl = ("program image maps into J but I maps into no "
+                        "member" if lhs else
+                        "I maps into a member but the program image does "
+                        "not map into J")
+                return Verdict(False, B, I, explanation=expl)
+            if not lhs:
+                continue
+            # commuting diagram: some h: I -> member and g: image -> J with
+            # g agreeing with iota∘h wherever iota∘h is defined
+            ok = False
+            for j_prime, iota in members:
+                if ok:
                     break
-        if not ok:
-            return Verdict(False, B, I,
-                           explanation="no homomorphism pair commutes "
-                                       "through the member back-maps")
-    return Verdict(True, B)
+                for h in iter_homomorphisms(I_adom, j_prime):
+                    bindings = {
+                        x: iota[h[x]]
+                        for x in h
+                        if x in out.domain and h[x] in iota
+                    }
+                    if find_homomorphism(out, J,
+                                         bindings=bindings) is not None:
+                        ok = True
+                        break
+            if not ok:
+                return Verdict(False, B, I,
+                               explanation="no homomorphism pair commutes "
+                                           "through the member back-maps")
+        return Verdict(True, B)
+
+    return _exact_first(fold)
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +509,28 @@ def programs_equivalent_bounded(P1: Program, P2: Program,
     elements.  Each program is chased once per input from ``_checked``; a
     chase that did not terminate within ``PROGRAM_ROUNDS`` rounds leaves
     only a prefix of the output, which certifies nothing, so the verdict
-    is unknown."""
+    is unknown, at the first such labeled input."""
     if P1.s_in.relations != P2.s_in.relations or \
             P1.s_out.relations != P2.s_out.relations:
         raise OracleError("programs have different input or output schemas")
-    for I, _, outs in _checked(P1.s_in, B, 0, (P1, P2)):
-        if not all(terminated for _, terminated in outs):
-            return Verdict(False, B, I, unknown=True,
-                           explanation="unknown: bounded chase did not "
-                                       "terminate for this instance")
-        fixed = sorted(set(I.active_domain))
-        o1, o2 = (Instance(P1.s_out, set(o.domain) | set(fixed), o.facts)
-                  for o, _ in outs)
-        if find_homomorphism(o1, o2, fixed=fixed) is None or \
-                find_homomorphism(o2, o1, fixed=fixed) is None:
-            return Verdict(False, B, I,
-                           explanation="outputs are not homomorphically "
-                                       "equivalent over the input's "
-                                       "active domain")
-    return Verdict(True, B)
+
+    def fold(up_to_iso: bool) -> Optional[Verdict]:
+        for I, _, outs in _checked(P1.s_in, B, 0, up_to_iso, (P1, P2)):
+            if not all(terminated for _, terminated in outs):
+                if up_to_iso:
+                    return None
+                return Verdict(False, B, I, unknown=True,
+                               explanation="unknown: bounded chase did not "
+                                           "terminate for this instance")
+            fixed = sorted(set(I.active_domain))
+            o1, o2 = (Instance(P1.s_out, set(o.domain) | set(fixed),
+                               o.facts) for o, _ in outs)
+            if find_homomorphism(o1, o2, fixed=fixed) is None or \
+                    find_homomorphism(o2, o1, fixed=fixed) is None:
+                return Verdict(False, B, I,
+                               explanation="outputs are not homomorphically "
+                                           "equivalent over the input's "
+                                           "active domain")
+        return Verdict(True, B)
+
+    return _exact_first(fold)

@@ -219,6 +219,7 @@ def test_dualize_relative_and_abox(files, capsys):
 def test_dualize_usage_errors(files, capsys):
     program = ["--program", str(files / "path2.dl"), "--rel", "Ans"]
     frontier = ["--frontier", str(files / "path.inst")]
+    (files / "empty.tgd").write_text("")
     for argv in (
             # --program and --frontier are mutually exclusive; --program
             # needs --rel
@@ -238,6 +239,10 @@ def test_dualize_usage_errors(files, capsys):
             ["dualize", *frontier, "--abox", "--verify", "2"],
             ["dualize", *frontier, "--adjoint-program",
              str(files / "tc.dl")],
+            # an empty dependency set without --abox takes the plain
+            # frontier path, which reads no rewrite program
+            ["dualize", *frontier, "--theory", str(files / "empty.tgd"),
+             "--adjoint-program", str(files / "tc.dl")],
             # --abox contradicts an explicit --mode model
             ["characterize", str(files / "q.q"), "--mode", "model",
              "--abox"]):

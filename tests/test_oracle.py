@@ -188,14 +188,18 @@ def test_equivalence_chases_each_program_once_per_instance(monkeypatch,
     reps = [C for C, _ in oracle._class_representatives(E, 2)]
     assert len(reps) == 13
     assert calls == [(tc_program, I) for I in reps for _ in range(2)]
-    # a non-terminating program reads every labeled instance, each chased
-    # once per program, and an unfinished chase ends the check there
+    # an unfinished chase is not exact: the class loop stops there, and
+    # the labeled loop reads every instance from the start, each chased
+    # once per program, until the same unfinished chase ends the check
     calls.clear()
     P1, P2 = make_slow_answer_program(False), make_slow_answer_program(True)
     v = programs_equivalent_bounded(P1, P2, B=2)
+    assert v.unknown
     labeled = list(enumerate_instances(E, 2))
     before = labeled.index(v.counterexample)
-    assert calls == [(P, I) for I in labeled[:before + 1] for P in (P1, P2)]
+    first = reps.index(v.counterexample)
+    assert calls == [(P, I) for I in reps[:first + 1] for P in (P1, P2)] + \
+        [(P, I) for I in labeled[:before + 1] for P in (P1, P2)]
 
 
 def _count_chases(monkeypatch) -> list:
@@ -236,10 +240,11 @@ def test_relative_duality_filters_one_instance_per_class(monkeypatch):
     assert len(calls) == len(set(calls)) == 117
 
 
-def test_nonterminating_generator_chases_every_labeled_instance(
+def test_nonterminating_generator_chases_one_instance_per_class(
         monkeypatch):
     # R(x,y) -> exists z R(y,z) is not weakly acyclic, although every
-    # chase here stops once each edge's head has a loop
+    # chase here stops once each edge's head has a loop: every answer is
+    # exact, so no labeled instance is read
     P = Program(E, Schema([("Ans", 0)]), Schema([("R", 2)]), [
         Rule((Atom("R", ("x", "y")),), (Atom("E", ("x", "y")),)),
         Rule((Atom("R", ("y", "y")),), (Atom("E", ("x", "y")),)),
@@ -248,7 +253,7 @@ def test_nonterminating_generator_chases_every_labeled_instance(
     assert not P.terminates
     calls = _count_chases(monkeypatch)
     assert verify_duality((P, "Ans"), [digraph([], extra=["a"])], 3).passed
-    assert calls == list(enumerate_instances(E, 3))
+    assert calls == [C for C, _ in oracle._class_representatives(E, 3)]
 
 
 def test_generator_miss_in_a_chase_prefix_is_unknown(monkeypatch):
@@ -262,8 +267,11 @@ def test_generator_miss_in_a_chase_prefix_is_unknown(monkeypatch):
     assert v.explanation == ("unknown: Ans(e1) is not derived in 12 chase "
                              "rounds and the chase has not terminated")
     e1 = Element.named("e1")
-    assert v.counterexample == Instance(E, [e1], [("E", (e1, e1))], (e1,))
-    assert len(calls) == 2
+    loop = Instance(E, [e1], [("E", (e1, e1))])
+    assert v.counterexample == loop.with_points((e1,))
+    # the class loop stops at the unknown, and the labeled loop reads the
+    # same two instances again (the empty one has no point to read)
+    assert calls == [Instance(E, [e1], []), loop] * 2
 
 
 def test_nonterminating_program_dual_is_unknown_at_a_prefix():
@@ -276,8 +284,10 @@ def test_nonterminating_program_dual_is_unknown_at_a_prefix():
         [("R_in", (e1, e2))], (e1, e1))
 
 
-def test_nonterminating_abox_duality_chases_every_labeled_instance(
+def test_nonterminating_abox_duality_chases_one_instance_per_class(
         monkeypatch):
+    # every morphism answer is exact, although the dependency set's chases
+    # do not terminate: the instances chased are the class representatives
     sigma = sigma2("E")
     d = abox_dual(sigma, [digraph([("a", "b")])])
     calls = []
@@ -288,9 +298,11 @@ def test_nonterminating_abox_duality_chases_every_labeled_instance(
         return real(P_sigma, A, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "chase_theory", counted)
-    assert verify_duality(d.frontier, d.duals, 3, sigma=sigma,
-                          category="abox").passed
-    assert set(enumerate_instances(E, 3)) <= set(calls)
+    v = verify_duality(d.frontier, d.duals, 3, sigma=sigma, category="abox")
+    assert v.passed and not v.unknown
+    labeled = set(enumerate_instances(E, 3))
+    assert [C for C in calls if C in labeled] == \
+        [C for C, _ in oracle._class_representatives(E, 3)]
 
 
 def test_nonterminating_adjoint_chases_every_labeled_instance(monkeypatch):
@@ -302,6 +314,52 @@ def test_nonterminating_adjoint_chases_every_labeled_instance(monkeypatch):
     assert verify_adjoint(P, J, res, B=3).passed
     assert set(calls) == set(enumerate_instances(P.s_in, 3))
     assert len(set(calls)) == count_instances(P.s_in, 3) == 531
+
+
+def test_inclusion_adjoint_reads_classes_until_a_heuristic_yes(
+        monkeypatch):
+    # the compiled inclusion dependency R(x,y) -> exists z R(y,z), as the
+    # benchmark's adjoint task reads it
+    P = tgd_compile(sigma2())
+    labeled = list(enumerate_instances(P.s_in, 3))
+    reps = [C for C, _ in oracle._class_representatives(P.s_in, 3)]
+    chases, enumerated = [], []
+    real_output, real_enumerate = oracle._program_output, \
+        oracle.enumerate_instances
+
+    def counted_output(P, I, budget):
+        chases.append((I, budget))
+        return real_output(P, I, budget)
+
+    def counted_enumerate(schema, max_domain):
+        for C in real_enumerate(schema, max_domain):
+            enumerated.append(C)
+            yield C
+
+    monkeypatch.setattr(oracle, "_program_output", counted_output)
+    monkeypatch.setattr(oracle, "enumerate_instances", counted_enumerate)
+    a, b = Element.named("a"), Element.named("b")
+    # J = one edge: every prefix that maps into J has terminated, so every
+    # answer is exact and only the 117 class representatives are chased,
+    # while the class filter still enumerates all 531 labeled instances
+    J = Instance(P.s_out, [a, b], [("R_out", (a, b))])
+    v = verify_adjoint(P, J, sl_adjoint(P, J), B=3)
+    assert v.passed and not v.unknown
+    assert chases == [(C, oracle.PROGRAM_ROUNDS) for C in reps]
+    assert len(chases) == 117 and enumerated == labeled
+    assert len(labeled) == 531
+    # J = one loop: an unfinished prefix maps into it, a heuristic "yes"
+    # that is not exact, so the labeled loop decides from the start
+    chases.clear()
+    enumerated.clear()
+    J = Instance(P.s_out, [a], [("R_out", (a, a))])
+    v = verify_adjoint(P, J, sl_adjoint(P, J), B=3)
+    assert v.passed and not v.unknown
+    read = [I for I, budget in chases if budget == oracle.PROGRAM_ROUNDS]
+    assert read == reps[:6] + labeled
+    assert enumerated == labeled[:labeled.index(reps[5]) + 1] + labeled
+    # one more round for each heuristic "yes" of the labeled loop
+    assert len(chases) - len(read) == 142
 
 
 def test_abox_verify_needs_a_dependency_set():

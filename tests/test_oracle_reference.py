@@ -6,7 +6,11 @@ slow reference: same ``passed``, ``unknown``, explanation and
 counterexample, points included.  ``oracle.verify_adjoint`` and
 ``oracle.programs_equivalent_bounded`` are checked the same way against
 their labeled loops, and the model filter of the relative category reads
-every labeled instance here."""
+every labeled instance here.  Programs and dependency sets whose chases do
+not terminate are among the cases: there the oracle keeps reading class
+representatives while every answer is exact, which only these comparisons
+guard, since the restricted chase fires its triggers in element-name
+order."""
 
 import itertools
 import random
@@ -16,6 +20,7 @@ from typing import Iterator, Optional
 from conftest import (
     digraph,
     make_disconnected_program,
+    make_nonterminating_program,
     make_path_program,
     make_sigma1_rewrite,
     make_symmetric_closure,
@@ -24,12 +29,13 @@ from conftest import (
     sigma1,
     sigma2,
 )
-from homkit.chase import DEFAULT_BUDGET, chase_theory, run_program
+from homkit.chase import chase_theory, run_program
 from homkit.adjoint import adjoint
 from homkit.core import (
     Instance,
     Schema,
     adom_instance,
+    fact_ser,
     find_homomorphism,
     iter_homomorphisms,
 )
@@ -81,8 +87,7 @@ def enumerate_models(schema: Schema, max_domain: int,
 
 
 def enumerate_pointed(schema: Schema, max_domain: int, k: int,
-                      filter_sigma=None,
-                      budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
+                      filter_sigma=None) -> Iterator[Instance]:
     """Pointed variant: every instance with every k-tuple over its domain."""
     for C in enumerate_models(schema, max_domain, filter_sigma):
         if k == 0:
@@ -97,17 +102,19 @@ def enumerate_pointed(schema: Schema, max_domain: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _frontier_hit(F, C: Instance, sigma, category: str,
-                  budget: int) -> Optional[bool]:
+def _frontier_hit(F, C: Instance, sigma, category: str) -> Optional[bool]:
     """Is (C, c) in the upward closure of the frontier?  None = unknown."""
     if isinstance(F, tuple) and len(F) in (2, 3) and \
             isinstance(F[0], Program):
-        # generator: derivation membership via the chase
+        # generator: derivation membership via a chase prefix, where a
+        # miss is certain only after a fixpoint
         P, R = F[0], F[1]
         I = C.with_points(()).with_schema(P.s_in)
-        res = run_program(P, I, budget=budget)
+        res = run_program(P, I, budget=PROGRAM_ROUNDS)
         target = (R, tuple(C.points))
-        return target in res.output.facts
+        if target in res.output.facts:
+            return True
+        return False if res.terminated else None
     for A in F:
         if category == "abox":
             h = dict(zip(A.points, C.points))
@@ -122,8 +129,7 @@ def _frontier_hit(F, C: Instance, sigma, category: str,
     return False
 
 
-def _dual_hit(D, C: Instance, sigma, category: str,
-              budget: int) -> Optional[bool]:
+def _dual_hit(D, C: Instance, sigma, category: str) -> Optional[bool]:
     unknown = False
     for d in D:
         if category == "abox":
@@ -140,8 +146,7 @@ def _dual_hit(D, C: Instance, sigma, category: str,
 
 
 def verify_duality(F, D, B: int = 3, sigma=None,
-                   category: Optional[str] = None,
-                   budget: int = DEFAULT_BUDGET) -> Verdict:
+                   category: Optional[str] = None) -> Verdict:
     """Check the duality statement exhaustively at bound B.
 
     For every pointed (C, c) with at most B elements (dependency models
@@ -149,12 +154,14 @@ def verify_duality(F, D, B: int = 3, sigma=None,
     "some frontier member maps into (C, c)" and "(C, c) maps into some
     dual" must hold.  ``F`` is a set of pointed instances or a
     (program, relation[, depth]) generator; generator membership is decided
-    by chase derivation of R(c).
+    by chase derivation of R(c) in ``PROGRAM_ROUNDS`` rounds.
     """
     duals = list(D)
     if category is None:
         category = "plain" if sigma is None else "relative"
-    if isinstance(F, tuple) and F and isinstance(F[0], Program):
+    generator = isinstance(F, tuple) and bool(F) and \
+        isinstance(F[0], Program)
+    if generator:
         schema = F[0].s_in
         k = F[0].s_out.arity(F[1])
     else:
@@ -165,14 +172,17 @@ def verify_duality(F, D, B: int = 3, sigma=None,
         schema = probe.schema
         k = len(probe.points)
     filt = sigma if (sigma is not None and category == "relative") else None
-    for C in enumerate_pointed(schema, B, k, filter_sigma=filt,
-                               budget=budget):
-        fin = _frontier_hit(F, C, sigma, category, budget)
-        din = _dual_hit(duals, C, sigma, category, budget)
+    for C in enumerate_pointed(schema, B, k, filter_sigma=filt):
+        fin = _frontier_hit(F, C, sigma, category)
+        din = _dual_hit(duals, C, sigma, category)
         if fin is None or din is None:
+            expl = (f"{fact_ser((F[1], C.points))} is not derived in "
+                    f"{PROGRAM_ROUNDS} chase rounds and the chase has not "
+                    "terminated" if generator and fin is None else
+                    "bounded chase could not decide a morphism for this "
+                    "instance")
             return Verdict(False, B, C, unknown=True,
-                           explanation="unknown: bounded chase could not "
-                                       "decide a morphism for this instance")
+                           explanation=f"unknown: {expl}")
         if fin == din:
             side = ("in both the frontier's and the duals' closure"
                     if fin else "in neither closure")
@@ -400,6 +410,59 @@ def test_theory_frontiers_match_reference():
                  category="abox").passed
 
 
+def test_nonterminating_abox_dualities_match_reference():
+    # under E(x,y) -> exists z E(y,z) no chase terminates; the pointed
+    # 2-edge path's verdict ends unknown, which the labeled loop decides
+    rng = random.Random(5309)
+    sigma = sigma2("E")
+    ppath = digraph([("a", "b"), ("b", "c")], points=("a", "c"))
+    verdicts = []
+    for frontier in ([digraph([("a", "b")])], [ppath]):
+        d = abox_dual(sigma, frontier)
+        k = len(frontier[0].points)
+        for B in (2, 3):
+            for duals in [d.duals] + [_wrong_duals(rng, d.duals, k)
+                                      for _ in range(3)]:
+                verdicts.append(_same(d.frontier, duals, B, sigma=sigma,
+                                      category="abox"))
+    assert verdicts[0].passed and not verdicts[0].unknown
+    ppath_verdicts = verdicts[len(verdicts) // 2:]
+    assert ppath_verdicts[0].unknown and ppath_verdicts[4].unknown
+    assert any(not v.passed and not v.unknown for v in verdicts)
+
+
+# T(y,w) :- T(x,y) for an existential w: not weakly acyclic
+UNBOUNDED = Rule((Atom("T", ("y", "w")),), (Atom("T", ("x", "y")),), ("w",))
+
+
+def test_nonterminating_generator_frontiers_match_reference():
+    # unary generators with T(x,y) :- E(x,y) and the unbounded rule of
+    # ``_random_program``: a miss in a chase prefix leaves the verdict
+    # unknown; with T(y,y) :- E(x,y) too, every chase stops at a loop, so
+    # every answer is exact
+    rng = random.Random(6143)
+    seed = Rule((Atom("T", ("x", "y")),), (Atom("E", ("x", "y")),))
+    loop = Rule((Atom("T", ("y", "y")),), (Atom("E", ("x", "y")),))
+    verdicts = []
+    for G in GENERATORS:
+        if G.s_out.arity("Ans") != 1:
+            continue
+        duals = dual_from_program(G, "Ans").duals
+        for extra in ([seed, UNBOUNDED], [seed, loop, UNBOUNDED]):
+            P = Program(G.s_in, G.s_out, Schema([("T", 2)]),
+                        list(G.rules) + extra)
+            assert not P.terminates
+            for B in (2, 3):
+                for D in [duals] + [_wrong_duals(rng, duals, 1)
+                                    for _ in range(2)]:
+                    verdicts.append(_same((P, "Ans"), D, B))
+    assert len(verdicts) == 36
+    assert any(v.passed for v in verdicts)
+    assert any(not v.passed and not v.unknown for v in verdicts)
+    assert any(v.unknown and "not derived in" in v.explanation
+               for v in verdicts)
+
+
 def _wrong_members(rng, members: list) -> list:
     """A seeded perturbation: drop a member, drop or add a fact of one,
     or send all of one member's back-map to a single element."""
@@ -449,6 +512,36 @@ def test_adjoint_verdicts_match_labeled_reference():
     assert len({v.explanation for v in verdicts if not v.passed}) == 3
 
 
+ADJOINT_TARGETS = [[], [("a", "a")], [("a", "b")], [("a", "b"), ("b", "a")],
+                   [("a", "b"), ("b", "c")], [("a", "b"), ("b", "b")]]
+
+
+def test_nonterminating_adjoint_verdicts_match_labeled_reference():
+    # the inclusion dependency R(x,y) -> exists z R(y,z), compiled and as
+    # written in conftest: its chases do not terminate, so a verdict reads
+    # class representatives only while every answer is exact (J = a loop
+    # gives a heuristic "yes" and so the labeled loop)
+    rng = random.Random(2711)
+    verdicts = []
+    for P in (tgd_compile(sigma2()), make_nonterminating_program()):
+        assert not P.terminates
+        for tuples in ADJOINT_TARGETS:
+            J = rel_instance("R_out", 2, tuples,
+                             extra=["a", "b"] if not tuples else [])
+            members = adjoint(P, J).members
+            for result in [members] + [_wrong_members(rng, members)
+                                       for _ in range(4)]:
+                res = SimpleNamespace(members=result)
+                for B in (2, 3):
+                    got = oracle.verify_adjoint(P, J, res, B)
+                    want = verify_adjoint(P, J, res, B)
+                    assert _summary(got) == _summary(want), (P, J, B)
+                    verdicts.append(got)
+    assert len(verdicts) == 120
+    assert any(v.passed for v in verdicts)
+    assert {v.bound for v in verdicts if not v.passed} == {2, 3}
+
+
 def _random_program(rng, unbounded: bool = False) -> Program:
     """One to three seeded rules over E/2, the aux T/2 and the output
     Ans/1, each with one or two body atoms; with ``unbounded``, also
@@ -463,8 +556,7 @@ def _random_program(rng, unbounded: bool = False) -> Program:
         rules.append(Rule((head,), body))
     rules.append(Rule((Atom("Ans", ("x",)),), (Atom("T", ("x", "y")),)))
     if unbounded:
-        rules.append(Rule((Atom("T", ("y", "w")),),
-                          (Atom("T", ("x", "y")),), ("w",)))
+        rules.append(UNBOUNDED)
     return Program(E, Schema([("Ans", 1)]), Schema([("T", 2)]), rules)
 
 
